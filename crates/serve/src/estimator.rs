@@ -32,11 +32,10 @@ use crate::wal::{
 };
 use mlq_core::{
     evict_to_global_budget, CostModel, DeltaTracker, FleetModel, FrozenTree, GuardConfig,
-    GuardState, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, MlqError, Space,
-    TreeSnapshot, NODE_BYTES,
+    GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot, NODE_BYTES,
 };
 use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceRing};
-use mlq_optimizer::UdfCatalog;
+use mlq_optimizer::{catalog_models, UdfCatalog};
 use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -79,7 +78,8 @@ pub enum MaintainerMode {
 /// the prediction is answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
-    /// Global byte budget across every live shard's CPU and IO models.
+    /// Global byte budget across every live shard's CPU and IO models;
+    /// at least two root nodes (`2 · NODE_BYTES`) per shard.
     pub global_budget: usize,
     /// Consecutive traffic-free arbitration rounds after which a shard
     /// hibernates. `0` disables hibernation (eviction still runs).
@@ -145,20 +145,6 @@ impl ServeConfig {
                     self.io_weight
                 ),
             });
-        }
-        if let Some(fleet) = &self.fleet {
-            // Two roots (CPU + IO) per live shard can never be evicted,
-            // so anything below that per shard is unsatisfiable.
-            if fleet.global_budget < 2 * NODE_BYTES {
-                return Err(MlqError::InvalidConfig {
-                    reason: format!(
-                        "fleet.global_budget must hold at least one shard's two roots \
-                         ({} B), got {} B",
-                        2 * NODE_BYTES,
-                        fleet.global_budget
-                    ),
-                });
-            }
         }
         self.backpressure.validate()
     }
@@ -577,9 +563,7 @@ impl DurabilityCore {
     }
 }
 
-/// Registry handles for the fleet arbiter's `mlq_catalog_*` series —
-/// named after the optimizer-catalog arbiter they mirror, so a fleet
-/// served either way exposes one metric surface.
+/// Registry handles for the fleet arbiter's `mlq_catalog_*` series.
 struct FleetObs {
     global_budget: Gauge,
     live_bytes: Gauge,
@@ -1006,25 +990,6 @@ impl PendingShard {
     }
 }
 
-/// The builder's standard model recipe (`β = 1` CPU, `β = 10` IO, lazy
-/// insertion), shared with the replication layer so a replica group's
-/// merge base is configured identically to its replicas' live models.
-pub(crate) fn catalog_models(
-    space: &Space,
-    budget_per_model: usize,
-) -> Result<(MemoryLimitedQuadtree, MemoryLimitedQuadtree), MlqError> {
-    let build = |beta: u64| -> Result<MemoryLimitedQuadtree, MlqError> {
-        let floor = MlqConfig::min_budget(space, 6);
-        let config = MlqConfig::builder(space.clone())
-            .memory_budget(budget_per_model.max(floor))
-            .strategy(InsertionStrategy::Lazy { alpha: 0.05 })
-            .beta(beta)
-            .build()?;
-        MemoryLimitedQuadtree::new(config)
-    };
-    Ok((build(1)?, build(10)?))
-}
-
 /// Incrementally registers UDF shards, then spawns the service.
 pub struct ConcurrentEstimatorBuilder {
     config: ServeConfig,
@@ -1101,7 +1066,8 @@ impl ConcurrentEstimatorBuilder {
     }
 
     /// Registers a fresh UDF shard over `space`, using the catalog's model
-    /// recipe (`β = 1` CPU, `β = 10` IO, lazy insertion).
+    /// recipe ([`catalog_models`]: `β = 1` CPU, `β = 10` IO, lazy
+    /// insertion).
     ///
     /// # Errors
     ///
@@ -1138,8 +1104,9 @@ impl ConcurrentEstimatorBuilder {
     ///
     /// # Errors
     ///
-    /// [`MlqError::InvalidConfig`] when nothing is registered or the
-    /// configuration is nonsensical.
+    /// [`MlqError::InvalidConfig`] when nothing is registered, the
+    /// configuration is nonsensical, or a fleet's global budget cannot
+    /// hold two root nodes per shard.
     pub fn build(self) -> Result<ConcurrentEstimator, MlqError> {
         let ConcurrentEstimatorBuilder {
             config,
@@ -1211,6 +1178,22 @@ impl ConcurrentEstimatorBuilder {
             return Err(MlqError::InvalidConfig {
                 reason: "a concurrent estimator needs at least one registered UDF".into(),
             });
+        }
+        if let Some(fleet) = &config.fleet {
+            // Every tree can shrink to its root but no further, so the
+            // fleet floor is two roots (CPU + IO) per shard, recovered
+            // ones included; below it no arbitration round could fit.
+            let floor = 2 * NODE_BYTES * pending.len();
+            if fleet.global_budget < floor {
+                return Err(MlqError::InvalidConfig {
+                    reason: format!(
+                        "fleet.global_budget {} B cannot hold the root floor of {} shards \
+                         ({floor} B)",
+                        fleet.global_budget,
+                        pending.len()
+                    ),
+                });
+            }
         }
         // Shards are ordered by name, like the catalog.
         pending.sort_by(|a, b| a.name.cmp(&b.name));

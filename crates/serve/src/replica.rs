@@ -31,11 +31,12 @@
 //! replica (stepping its queue) plus one scheduler thread running the
 //! rounds, so the whole tier needs no external pumping.
 
-use crate::estimator::{catalog_models, MaintainerMode, ServeConfig, ServeReport};
+use crate::estimator::{MaintainerMode, ServeConfig, ServeReport};
 use crate::wal::DurabilityConfig;
 use crate::ConcurrentEstimator;
 use mlq_core::{MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot};
 use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
+use mlq_optimizer::catalog_models;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,7 +129,8 @@ impl ReplicaGroupBuilder {
     }
 
     /// Registers a UDF shard over `space` on every replica (and in the
-    /// group's merge base), using the standard catalog model recipe.
+    /// group's merge base), using the catalog model recipe
+    /// ([`catalog_models`]).
     ///
     /// # Errors
     ///

@@ -21,7 +21,7 @@
 //! or accuracy failure the diff is written under `target/fleet-diff/`
 //! for the CI artifact upload.
 
-use mlq_core::GuardConfig;
+use mlq_core::{GuardConfig, MlqError, NODE_BYTES};
 use mlq_serve::{ConcurrentEstimator, FleetConfig, MaintainerMode, ServeConfig};
 use mlq_synth::{CostSurface, FleetScenario, QueryDistribution};
 use mlq_udfs::ExecutionCost;
@@ -401,4 +401,41 @@ fn traffic_deltas_partition_reads_under_concurrency() {
         "per-round traffic deltas failed to partition the true read totals"
     );
     svc.shutdown();
+}
+
+/// Admission floor: eviction never reclaims a tree's root, so every
+/// shard pins two roots (CPU + IO). A global budget below
+/// `2 · NODE_BYTES` per shard — recovered shards included — could never
+/// fit, and every round would count an overrun; build refuses it.
+#[test]
+fn global_budget_below_the_shard_root_floor_is_rejected() {
+    let tight = Some(FleetConfig { global_budget: 6 * NODE_BYTES, hibernate_after: 0 });
+    let mut b = ConcurrentEstimator::builder(serve_config(tight, 1 << 16));
+    for name in &model_names(4) {
+        b = b.register(name, &space()).unwrap();
+    }
+    assert!(matches!(b.build(), Err(MlqError::InvalidConfig { .. })));
+
+    // Three shards sit exactly on the floor and fit.
+    let svc = build(&model_names(3), serve_config(tight, 1 << 16));
+    svc.step(16).unwrap();
+    assert!(svc.last_arbitration().unwrap().unwrap().fit);
+    svc.shutdown();
+
+    // Shards recovered from a durability directory count too, even when
+    // only one of them is registered again.
+    let dir = std::env::temp_dir().join(format!("mlq_fleet_floor_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut b = ConcurrentEstimator::builder(serve_config(None, 1 << 16)).with_durability(&dir);
+    for name in &model_names(4) {
+        b = b.register(name, &space()).unwrap();
+    }
+    b.build().unwrap().shutdown();
+    let rebuilt = ConcurrentEstimator::builder(serve_config(tight, 1 << 16))
+        .register("M0", &space())
+        .unwrap()
+        .with_durability(&dir)
+        .build();
+    assert!(matches!(rebuilt, Err(MlqError::InvalidConfig { .. })));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -19,7 +19,8 @@
 
 use mlq_core::Space;
 use mlq_experiments::bakeoff::{build_contender, BakeoffConfig, Scenario, CONTENDERS, SCENARIOS};
-use mlq_optimizer::{Estimator, FleetBudget, UdfCatalog};
+use mlq_optimizer::Estimator;
+use mlq_serve::{ConcurrentEstimator, FleetConfig, MaintainerMode, ServeConfig};
 use mlq_synth::QueryDistribution;
 use mlq_udfs::ExecutionCost;
 
@@ -129,60 +130,69 @@ fn memory_used_reports_nonzero_learned_state() {
     });
 }
 
-/// Contract 4, for fleet-arbitrated catalogs: a hibernate → warm-restore
-/// round trip is invisible through the estimator seam. Per scenario, a
-/// catalog trained the bake-off way and hibernated whole must, once
-/// woken by prediction, agree bit for bit with a never-hibernated twin —
-/// and the woken predictions stay finite, non-negative, and
-/// deterministic under a fixed seed.
+/// Contract 4, for the fleet-arbitrated serving layer: a hibernate →
+/// wake round trip is invisible through prediction. Per scenario, a
+/// service trained the bake-off way and hibernated whole must, once
+/// woken by prediction, agree bit for bit with a twin served without a
+/// fleet budget — and the woken predictions stay finite, non-negative,
+/// and deterministic under a fixed seed.
 #[test]
 fn hibernate_roundtrip() {
     let space = space();
     let config = config();
     for scenario in SCENARIOS {
         let data = scenario.materialize(&space, &config);
-        let train = |catalog: &mut UdfCatalog| {
-            catalog.register("UDF", &space).unwrap();
+        let trained = |fleet: Option<FleetConfig>| {
+            let serve = ServeConfig {
+                maintainer: MaintainerMode::Manual,
+                budget_per_model: 1 << 16,
+                fleet,
+                ..ServeConfig::default()
+            };
+            let svc = ConcurrentEstimator::builder(serve)
+                .register("UDF", &space)
+                .unwrap()
+                .build()
+                .unwrap();
             for e in &data.events {
-                catalog
-                    .observe(
-                        "UDF",
-                        &e.point,
-                        ExecutionCost { cpu: e.observed, io: e.observed / 8.0, results: 0 },
-                    )
-                    .unwrap();
+                svc.observe(
+                    "UDF",
+                    &e.point,
+                    ExecutionCost { cpu: e.observed, io: e.observed / 8.0, results: 0 },
+                )
+                .unwrap();
             }
+            // One manual step applies the whole stream and runs one
+            // arbitration round.
+            svc.flush();
+            svc
+        };
+        let predict_all = |svc: &ConcurrentEstimator| {
+            probes(150, 0x51EE9).iter().map(|p| svc.predict("UDF", p).unwrap()).collect::<Vec<_>>()
         };
         let run_hibernated = || {
-            let mut catalog = UdfCatalog::with_fleet_budget(
-                1 << 16,
-                FleetBudget { global_budget: 1 << 30, hibernate_after: 1 },
-            )
-            .unwrap();
-            train(&mut catalog);
-            // No prediction traffic since build: the first arbitration
-            // round sees a zero delta and hibernates the model.
-            let report = catalog.arbitrate().unwrap();
+            let svc = trained(Some(FleetConfig { global_budget: 1 << 30, hibernate_after: 1 }));
+            // No prediction traffic since build: the round sees a zero
+            // delta and hibernates the shard.
+            let report = svc.last_arbitration().unwrap().expect("flush ran a round");
             assert_eq!(
                 report.hibernated,
                 vec!["UDF".to_string()],
-                "{}: the cold model must hibernate",
+                "{}: the cold shard must hibernate",
                 scenario.label(),
             );
-            // Every predict below warm-restores on first touch.
-            probes(150, 0x51EE9)
-                .iter()
-                .map(|p| catalog.predict_combined("UDF", p, 100.0).unwrap())
-                .collect::<Vec<_>>()
+            assert!(svc.is_hibernated("UDF").unwrap(), "{}: not hibernated", scenario.label());
+            // The first predict below wakes the shard.
+            let woken = predict_all(&svc);
+            assert!(!svc.is_hibernated("UDF").unwrap(), "{}: still hibernated", scenario.label());
+            svc.shutdown();
+            woken
         };
         let woken = run_hibernated();
 
-        let mut twin = UdfCatalog::new(1 << 16);
-        train(&mut twin);
-        let reference: Vec<Option<f64>> = probes(150, 0x51EE9)
-            .iter()
-            .map(|p| twin.predict_combined("UDF", p, 100.0).unwrap())
-            .collect();
+        let twin = trained(None);
+        let reference = predict_all(&twin);
+        twin.shutdown();
 
         for (i, (got, want)) in woken.iter().zip(&reference).enumerate() {
             assert_eq!(
@@ -200,7 +210,7 @@ fn hibernate_roundtrip() {
             }
         }
         // Seeded determinism: a second independently built-and-hibernated
-        // catalog reproduces the woken trace bit for bit.
+        // service reproduces the woken trace bit for bit.
         let woken_bits: Vec<Option<u64>> = woken.iter().map(|p| p.map(f64::to_bits)).collect();
         let again: Vec<Option<u64>> =
             run_hibernated().iter().map(|p| p.map(f64::to_bits)).collect();
