@@ -26,11 +26,9 @@
 //! (valid) version or length. Decoding never panics: every claim the
 //! header makes is validated against the actual byte count before use.
 //!
-//! [`MemoryLimitedQuadtree::save_to_file`] writes the envelope to a
-//! sibling temporary file and atomically renames it over the target, so
-//! a crash mid-write leaves the previous snapshot intact. The restore
-//! path ([`MemoryLimitedQuadtree::restore`] /
-//! [`MemoryLimitedQuadtree::restore_from_file`]) verifies the checksum,
+//! The envelope is a [`seal_frame`] frame under [`SNAPSHOT_MAGIC`]; the
+//! serving layer's checkpoints write it to disk atomically. The restore
+//! path ([`MemoryLimitedQuadtree::restore`]) verifies the checksum,
 //! rebuilds the tree, re-runs the structural invariant checker, and
 //! reports what happened as a typed [`RestoreOutcome`] — falling back to
 //! a fresh model rather than failing the caller when the snapshot is bad.
@@ -41,8 +39,6 @@ use crate::node::NIL;
 use crate::summary::Summary;
 use crate::tree::MemoryLimitedQuadtree;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
-use std::path::Path;
 
 /// One node in a snapshot. `parent` indexes into the snapshot's node list
 /// (`None` for the root); nodes appear in an order where parents precede
@@ -117,8 +113,8 @@ impl MemoryLimitedQuadtree {
     /// # Errors
     ///
     /// [`MlqError::InvalidConfig`] when the snapshot is malformed
-    /// (dangling parents, children out of order, duplicate slots) or its
-    /// configuration no longer validates.
+    /// (dangling parents, children out of order, nodes deeper than `λ`,
+    /// duplicate slots) or its configuration no longer validates.
     pub fn from_snapshot(snapshot: &TreeSnapshot) -> Result<Self, MlqError> {
         let mut tree = MemoryLimitedQuadtree::new(snapshot.config.clone())?;
         let malformed = |reason: &str| MlqError::InvalidConfig {
@@ -147,6 +143,12 @@ impl MemoryLimitedQuadtree {
                         return Err(malformed("child precedes its parent"));
                     }
                     let parent_arena = arena_index[p];
+                    // Checked before materializing, so a hostile chain
+                    // can neither grow the tree past λ nor overflow the
+                    // parent's depth below.
+                    if snode.depth > snapshot.config.lambda {
+                        return Err(malformed("node deeper than lambda"));
+                    }
                     if snode.depth != snapshot.nodes[p].depth + 1 {
                         return Err(malformed("depth does not match parent"));
                     }
@@ -278,18 +280,8 @@ impl TreeSnapshot {
     /// documented at the [module level](self).
     #[must_use]
     pub fn to_envelope(&self) -> Vec<u8> {
-        let payload =
-            serde_json::to_string(self).expect("snapshot serialization is infallible").into_bytes();
-        let version = SNAPSHOT_VERSION.to_le_bytes();
-        let len = (payload.len() as u64).to_le_bytes();
-        let crc = crc32(&[&version, &len, &payload]).to_le_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&version);
-        out.extend_from_slice(&len);
-        out.extend_from_slice(&crc);
-        out.extend_from_slice(&payload);
-        out
+        let payload = serde_json::to_string(self).expect("snapshot serialization is infallible");
+        seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload.as_bytes())
     }
 
     /// Decodes an envelope, verifying magic, version, length, and
@@ -315,43 +307,15 @@ impl TreeSnapshot {
 }
 
 fn decode_envelope(bytes: &[u8]) -> Result<TreeSnapshot, DecodeFailure> {
-    let corrupt = |reason: &str| DecodeFailure::Corrupt(reason.to_string());
-    if bytes.len() < HEADER_LEN {
-        return Err(DecodeFailure::Corrupt(format!(
-            "truncated envelope: {} bytes, header needs {HEADER_LEN}",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version_bytes: [u8; 4] = bytes[4..8].try_into().expect("slice length checked");
-    let len_bytes: [u8; 8] = bytes[8..16].try_into().expect("slice length checked");
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().expect("slice length checked"));
-    let payload_len = u64::from_le_bytes(len_bytes);
-    let Ok(payload_len) = usize::try_from(payload_len) else {
-        return Err(corrupt("payload length overflows usize"));
-    };
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() != payload_len {
-        return Err(DecodeFailure::Corrupt(format!(
-            "payload length mismatch: header claims {payload_len}, found {}",
-            payload.len()
-        )));
-    }
-    let actual_crc = crc32(&[&version_bytes, &len_bytes, payload]);
-    if actual_crc != stored_crc {
-        return Err(DecodeFailure::Corrupt(format!(
-            "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
+    let (version, payload) =
+        open_frame_any_version(SNAPSHOT_MAGIC, bytes).map_err(DecodeFailure::Corrupt)?;
     // Checksum verified: a version difference is now a genuine format
     // difference, not a flipped bit.
-    let version = u32::from_le_bytes(version_bytes);
     if version != SNAPSHOT_VERSION {
         return Err(DecodeFailure::Version { found: version });
     }
-    let text = std::str::from_utf8(payload).map_err(|_| corrupt("payload is not UTF-8"))?;
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| DecodeFailure::Corrupt("payload is not UTF-8".to_string()))?;
     serde_json::from_str(text)
         .map_err(|e| DecodeFailure::Corrupt(format!("payload does not parse: {e}")))
 }
@@ -361,9 +325,9 @@ fn decode_envelope(bytes: &[u8]) -> Result<TreeSnapshot, DecodeFailure> {
 /// chosen magic and version. The checksum covers version, length, and
 /// payload, so header corruption is detected like payload corruption.
 ///
-/// [`open_frame`] is the inverse. The serving layer's checkpoint
-/// metadata and journal headers use this so every durable artifact in
-/// the workspace fails loudly — never by restoring garbage.
+/// [`open_frame`] is the inverse. Snapshot envelopes and the serving
+/// layer's checkpoint metadata use this, so both fail loudly — never by
+/// restoring garbage.
 #[must_use]
 pub fn seal_frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     let version_bytes = version.to_le_bytes();
@@ -388,14 +352,24 @@ pub fn seal_frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
 /// version other than `version`.
 pub fn open_frame(magic: [u8; 4], version: u32, bytes: &[u8]) -> Result<&[u8], MlqError> {
     let corrupt = |reason: String| MlqError::SnapshotCorrupt { reason };
+    let (found, payload) = open_frame_any_version(magic, bytes).map_err(corrupt)?;
+    if found != version {
+        return Err(corrupt(format!("unsupported frame version {found} (expected {version})")));
+    }
+    Ok(payload)
+}
+
+/// Validates a frame's magic, length, and checksum, and hands back its
+/// CRC-verified version with the payload slice. The one frame opener
+/// behind both [`open_frame`] and the snapshot decoder, which reports a
+/// version difference as [`RestoreOutcome::VersionMismatch`] rather than
+/// as corruption. Never panics, whatever the bytes.
+fn open_frame_any_version(magic: [u8; 4], bytes: &[u8]) -> Result<(u32, &[u8]), String> {
     if bytes.len() < HEADER_LEN {
-        return Err(corrupt(format!(
-            "truncated frame: {} bytes, header needs {HEADER_LEN}",
-            bytes.len()
-        )));
+        return Err(format!("truncated frame: {} bytes, header needs {HEADER_LEN}", bytes.len()));
     }
     if bytes[0..4] != magic {
-        return Err(corrupt("bad frame magic".to_string()));
+        return Err("bad frame magic".to_string());
     }
     let version_bytes: [u8; 4] = bytes[4..8].try_into().expect("slice length checked");
     let len_bytes: [u8; 8] = bytes[8..16].try_into().expect("slice length checked");
@@ -403,22 +377,18 @@ pub fn open_frame(magic: [u8; 4], version: u32, bytes: &[u8]) -> Result<&[u8], M
     let payload = &bytes[HEADER_LEN..];
     let claimed = u64::from_le_bytes(len_bytes);
     if claimed != payload.len() as u64 {
-        return Err(corrupt(format!(
+        return Err(format!(
             "frame length mismatch: header claims {claimed}, found {}",
             payload.len()
-        )));
+        ));
     }
     let actual_crc = crc32(&[&version_bytes, &len_bytes, payload]);
     if actual_crc != stored_crc {
-        return Err(corrupt(format!(
+        return Err(format!(
             "frame checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
+        ));
     }
-    let found = u32::from_le_bytes(version_bytes);
-    if found != version {
-        return Err(corrupt(format!("unsupported frame version {found} (expected {version})")));
-    }
-    Ok(payload)
+    Ok((u32::from_le_bytes(version_bytes), payload))
 }
 
 impl MemoryLimitedQuadtree {
@@ -449,54 +419,6 @@ impl MemoryLimitedQuadtree {
                 found,
                 supported: SNAPSHOT_VERSION,
             }),
-        }
-    }
-
-    /// Writes the model's snapshot envelope to `path` atomically: the
-    /// bytes go to a sibling `<name>.tmp` file, are flushed to the
-    /// device, and the temporary is renamed over the target. A crash at
-    /// any point leaves either the old snapshot or the new one — never a
-    /// torn mix. (Single-writer: concurrent savers to the same path race
-    /// on the temporary name.)
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::IoFault`] when the filesystem refuses any step.
-    pub fn save_to_file(&self, path: &Path) -> Result<(), MlqError> {
-        let io = |stage: &str, e: std::io::Error| MlqError::IoFault {
-            reason: format!("snapshot {stage} {}: {e}", path.display()),
-        };
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let bytes = self.snapshot().to_envelope();
-        let mut file = std::fs::File::create(&tmp).map_err(|e| io("create", e))?;
-        file.write_all(&bytes).map_err(|e| io("write", e))?;
-        file.sync_all().map_err(|e| io("sync", e))?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io("rename", e))
-    }
-
-    /// Restores a model from the snapshot file at `path`, with the same
-    /// fallback semantics as [`MemoryLimitedQuadtree::restore`]. A
-    /// missing file reads as "no snapshot yet" and falls back to fresh.
-    ///
-    /// # Errors
-    ///
-    /// [`MlqError::IoFault`] when the file exists but cannot be read, or
-    /// the fallback configuration's own validation error.
-    pub fn restore_from_file(path: &Path, fallback: MlqConfig) -> Result<RestoreOutcome, MlqError> {
-        match std::fs::read(path) {
-            Ok(bytes) => MemoryLimitedQuadtree::restore(&bytes, fallback),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Ok(RestoreOutcome::CorruptFellBackToFresh {
-                    model: MemoryLimitedQuadtree::new(fallback)?,
-                    reason: format!("snapshot file not found: {}", path.display()),
-                })
-            }
-            Err(e) => {
-                Err(MlqError::IoFault { reason: format!("snapshot read {}: {e}", path.display()) })
-            }
         }
     }
 }
@@ -705,6 +627,57 @@ mod tests {
     }
 
     #[test]
+    fn envelope_is_the_snapshot_frame_byte_for_byte() {
+        let snapshot = trained_model().snapshot();
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let bytes = snapshot.to_envelope();
+        assert_eq!(bytes, seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, json.as_bytes()));
+        // The documented layout, field by field.
+        assert_eq!(&bytes[0..4], b"MLQS");
+        assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes());
+        assert_eq!(bytes[8..16], (json.len() as u64).to_le_bytes());
+        let crc = crc32(&[&bytes[4..8], &bytes[8..16], json.as_bytes()]);
+        assert_eq!(bytes[16..20], crc.to_le_bytes());
+        assert_eq!(&bytes[HEADER_LEN..], json.as_bytes());
+    }
+
+    /// A CRC-valid envelope whose nodes form one parent chain of `len`
+    /// nodes, node `k` at depth `min(k, 255)` in slot 0.
+    fn chain_envelope(len: usize) -> Vec<u8> {
+        let config = serde_json::to_string(&fallback_config()).unwrap();
+        let nodes: Vec<String> = (0..len)
+            .map(|k| {
+                let parent = if k == 0 { "null".to_string() } else { (k - 1).to_string() };
+                format!(
+                    r#"{{"summary":{{"sum":1.0,"count":1,"sum_sq":1.0}},"depth":{},"slot_in_parent":0,"parent":{parent}}}"#,
+                    k.min(255)
+                )
+            })
+            .collect();
+        let payload = format!(
+            r#"{{"config":{config},"nodes":[{}],"had_compression":false}}"#,
+            nodes.join(",")
+        );
+        seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload.as_bytes())
+    }
+
+    #[test]
+    fn deep_parent_chains_are_corrupt_not_panics() {
+        // 258 nodes reach a parent at depth 255, whose child depth does not
+        // fit a u8; 40 nodes stay in range but pass λ = 6 long before the
+        // invariant checker would see them.
+        for len in [258, 40] {
+            match MemoryLimitedQuadtree::restore(&chain_envelope(len), fallback_config()).unwrap() {
+                RestoreOutcome::CorruptFellBackToFresh { reason, model } => {
+                    assert!(reason.contains("deeper than lambda"), "{len} nodes: {reason}");
+                    assert_eq!(model.node_count(), 1);
+                }
+                other => panic!("{len}-node chain: expected fallback, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn generic_frames_roundtrip_and_reject_corruption() {
         let payload = b"some durable payload".to_vec();
         let sealed = seal_frame(*b"MLQX", 7, &payload);
@@ -722,37 +695,5 @@ mod tests {
         // An empty payload is a valid frame.
         let empty = seal_frame(*b"MLQX", 1, &[]);
         assert_eq!(open_frame(*b"MLQX", 1, &empty).unwrap(), &[] as &[u8]);
-    }
-
-    #[test]
-    fn save_and_restore_file_atomically() {
-        let dir = std::env::temp_dir().join("mlq_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.mlqs");
-        let original = trained_model();
-        original.save_to_file(&path).unwrap();
-        // The temporary is gone after a successful save.
-        assert!(!dir.join("model.mlqs.tmp").exists());
-
-        let outcome = MemoryLimitedQuadtree::restore_from_file(&path, fallback_config()).unwrap();
-        assert!(outcome.is_restored());
-        assert_eq!(outcome.into_model().node_count(), original.node_count());
-
-        // Corrupt the file on disk: detected, falls back fresh.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        let outcome = MemoryLimitedQuadtree::restore_from_file(&path, fallback_config()).unwrap();
-        assert!(matches!(outcome, RestoreOutcome::CorruptFellBackToFresh { .. }));
-
-        // A missing file is "no snapshot yet", not an error.
-        let outcome = MemoryLimitedQuadtree::restore_from_file(
-            &dir.join("never_written.mlqs"),
-            fallback_config(),
-        )
-        .unwrap();
-        assert!(matches!(outcome, RestoreOutcome::CorruptFellBackToFresh { .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -490,16 +490,6 @@ impl MemoryLimitedQuadtree {
             .collect()
     }
 
-    /// Number of live nodes per depth (index = depth).
-    #[must_use]
-    pub fn depth_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.config.lambda as usize + 1];
-        for (_, n) in self.arena.iter_live() {
-            hist[n.depth as usize] += 1;
-        }
-        hist
-    }
-
     /// Depth of the deepest live node.
     #[must_use]
     pub fn max_depth(&self) -> u8 {
@@ -688,15 +678,6 @@ mod tests {
         m.insert(&[1.0, 1.0], 0.0).unwrap();
         m.insert(&[2.0, 2.0], 10.0).unwrap();
         assert!(m.tssenc() > 0.0);
-    }
-
-    #[test]
-    fn depth_histogram_counts_all_nodes() {
-        let mut m = model(1 << 20, InsertionStrategy::Eager, 3);
-        m.insert(&[1.0, 1.0], 5.0).unwrap();
-        let hist = m.depth_histogram();
-        assert_eq!(hist, vec![1, 1, 1, 1]);
-        assert_eq!(hist.iter().sum::<usize>(), m.node_count());
     }
 
     #[test]

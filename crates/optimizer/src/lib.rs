@@ -23,10 +23,9 @@
 //!   `cost / (1 − selectivity)` rank [Hellerstein & Stonebraker 1993]
 //!   computed from *predicted* costs and *observed* selectivities, and
 //!   feeds every observed actual cost back into the models.
-//!
-//! * [`JoinUdfPlanner`] makes the introduction's *other* decision — UDF
-//!   predicate before or after a join (pull-up vs push-down) — from the
-//!   estimator's predicted per-tuple cost.
+//! * [`catalog_models`] is the one recipe for a UDF's CPU/IO model pair;
+//!   the per-UDF registry that holds those pairs is `mlq-serve`'s
+//!   `ConcurrentEstimator`.
 //! * [`SelectivityModel`] reuses the quadtree for region-aware
 //!   selectivity, the companion signal to cost in the rank formula.
 //!
@@ -59,13 +58,11 @@
 mod catalog;
 mod estimator;
 mod executor;
-mod plan;
 mod predicate;
 mod selectivity;
 
-pub use catalog::{catalog_models, CatalogSnapshot, UdfCatalog};
+pub use catalog::catalog_models;
 pub use estimator::{CostEstimator, Estimator};
 pub use executor::{ExecutionReport, FeedbackExecutor, OrderingPolicy};
-pub use plan::{JoinStats, JoinUdfPlanner, PlanEstimate, PlanShape};
 pub use predicate::{RowPredicate, SyntheticPredicate};
 pub use selectivity::SelectivityModel;

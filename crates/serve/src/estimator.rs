@@ -1,8 +1,8 @@
 //! The concurrent sharded estimator service.
 //!
 //! One [`ConcurrentEstimator`] serves cost estimates for every registered
-//! UDF. Internally it is sharded per UDF — the same keying as the
-//! optimizer's [`UdfCatalog`] — and split across two worlds:
+//! UDF. Internally it is sharded per UDF, each shard holding the CPU/IO
+//! model pair built by [`catalog_models`], and split across two worlds:
 //!
 //! * **Readers** (any number of threads) fetch the shard's published
 //!   [`ShardSnapshot`] — an `Arc` clone under a briefly held
@@ -35,7 +35,7 @@ use mlq_core::{
     GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot, NODE_BYTES,
 };
 use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceRing};
-use mlq_optimizer::{catalog_models, UdfCatalog};
+use mlq_optimizer::catalog_models;
 use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -1078,8 +1078,7 @@ impl ConcurrentEstimatorBuilder {
         self.register_models(name, cpu, io)
     }
 
-    /// Registers a UDF shard seeded with already-learned models (e.g.
-    /// handed over from a [`UdfCatalog`]).
+    /// Registers a UDF shard seeded with already-learned models.
     ///
     /// # Errors
     ///
@@ -1195,7 +1194,7 @@ impl ConcurrentEstimatorBuilder {
                 });
             }
         }
-        // Shards are ordered by name, like the catalog.
+        // Shards are ordered by name.
         pending.sort_by(|a, b| a.name.cmp(&b.name));
 
         let mut shards = Vec::with_capacity(pending.len());
@@ -1444,21 +1443,6 @@ impl ConcurrentEstimator {
     #[must_use]
     pub fn builder(config: ServeConfig) -> ConcurrentEstimatorBuilder {
         ConcurrentEstimatorBuilder::new(config)
-    }
-
-    /// Builds the service from an optimizer catalog, taking ownership of
-    /// its learned per-UDF models — the serving layer's shards are keyed
-    /// exactly like the catalog.
-    ///
-    /// # Errors
-    ///
-    /// Propagates builder errors (e.g. an empty catalog).
-    pub fn from_catalog(catalog: UdfCatalog, config: ServeConfig) -> Result<Self, MlqError> {
-        let mut builder = ConcurrentEstimatorBuilder::new(config);
-        for (name, cpu, io) in catalog.into_models() {
-            builder = builder.register_models(&name, cpu, io)?;
-        }
-        builder.build()
     }
 
     /// Builds a service by recovering everything a durability directory

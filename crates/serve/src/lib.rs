@@ -4,9 +4,10 @@
 //! runs many request threads asking for costs while executions stream
 //! back as feedback. This crate is that serving layer:
 //!
-//! * **Sharding** — one shard per registered UDF, keyed exactly like the
-//!   optimizer's [`UdfCatalog`](mlq_optimizer::UdfCatalog) (see
-//!   [`ConcurrentEstimator::from_catalog`]).
+//! * **Sharding** — one shard per registered UDF, each a CPU/IO model
+//!   pair built by [`catalog_models`](mlq_optimizer::catalog_models).
+//!   [`ConcurrentEstimator`] is the workspace's one per-UDF model
+//!   registry: the optimizer catalog of paper Fig. 1.
 //! * **Snapshot-isolated reads** — readers clone an `Arc` of an immutable
 //!   published [`ShardSnapshot`]; the `parking_lot::RwLock` guards only
 //!   the pointer swap. Predictions never contend with model maintenance,
