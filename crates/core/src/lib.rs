@@ -80,7 +80,7 @@ pub use merge::DeltaTracker;
 pub use model::{CostModel, TrainableModel};
 pub use node::NodeView;
 pub use persist::{
-    crc32_ieee, open_frame, seal_frame, RestoreOutcome, TreeSnapshot, SNAPSHOT_MAGIC,
+    crc32_ieee, open_frame, seal_frame, ByteReader, RestoreOutcome, TreeSnapshot, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
 pub use space::{GridPoint, Space, GRID_BITS, MAX_DIMS};

@@ -44,8 +44,8 @@
 use crate::wal::WalRecord;
 use crate::wal::{read_wal, shard_stem, write_file_durable, CrashOp, DurabilityIo, WalError};
 use mlq_core::{
-    open_frame, seal_frame, BreakerState, GuardCounters, GuardState, MemoryLimitedQuadtree,
-    MlqError, Summary, TreeSnapshot,
+    open_frame, seal_frame, BreakerState, ByteReader, GuardCounters, GuardState,
+    MemoryLimitedQuadtree, MlqError, Summary, TreeSnapshot,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -171,46 +171,6 @@ fn encode_guard(out: &mut Vec<u8>, g: &GuardState) {
     out.extend_from_slice(&g.pending_predict_failures.to_le_bytes());
     out.extend_from_slice(&g.fallback_predictions.to_le_bytes());
     out.extend_from_slice(&g.consecutive_quarantined.to_le_bytes());
-}
-
-/// A panic-free little-endian cursor over untrusted meta bytes.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or_else(|| "length overflow".to_string())?;
-        let slice =
-            self.buf.get(self.pos..end).ok_or_else(|| format!("truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length taken")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length taken")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 fn decode_guard(r: &mut ByteReader<'_>) -> Result<GuardState, String> {

@@ -348,6 +348,55 @@ fn corrupt_newest_checkpoint_recovers_from_previous_generation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Version-1 checkpoints (JSON tree payloads) are not readable by this
+/// build: recovery must not panic, must report every shard as
+/// `corrupt_recovered` with the version named in the detail, and must
+/// serve fresh models that relearn from new feedback.
+#[test]
+fn version_1_tree_files_recover_as_corrupt_and_relearn() {
+    let dir = temp_dir("v1_trees");
+    let stream = workload(harness_seed() ^ 0x1, PHASE_A);
+    let svc = build_durable(&dir, None);
+    feed(&svc, &stream);
+    svc.shutdown();
+
+    // Replace every tree file with what a version-1 build wrote: a JSON
+    // payload in an intact, CRC-valid version-1 frame.
+    let json = br#"{"config":{"space":{"lows":[0.0,0.0],"highs":[100.0,100.0]},"memory_budget":4096,"strategy":"Eager","beta":1,"gamma":0.001,"lambda":6},"nodes":[{"summary":{"sum":0.0,"count":0,"sum_sq":0.0},"depth":0,"slot_in_parent":0,"parent":null}],"had_compression":false}"#;
+    let mut replaced = 0;
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        if entry.file_name().to_string_lossy().ends_with(".mlqs") {
+            std::fs::write(entry.path(), mlq_core::seal_frame(mlq_core::SNAPSHOT_MAGIC, 1, json))
+                .unwrap();
+            replaced += 1;
+        }
+    }
+    assert!(replaced >= 2 * NAMES.len(), "only {replaced} tree files");
+
+    let svc = build_durable(&dir, None);
+    let report = svc.recovery_report();
+    assert_eq!(report.shards.len(), NAMES.len());
+    for shard in &report.shards {
+        assert_eq!(shard.kind, RestoreKind::CorruptRecovered, "{}: {}", shard.name, shard.detail);
+        assert!(
+            shard.detail.contains("unsupported snapshot version 1"),
+            "{}: detail does not name the version: {}",
+            shard.name,
+            shard.detail
+        );
+    }
+    // Learned state is gone; new feedback is learned again.
+    for name in NAMES {
+        assert_eq!(svc.predict(name, &[50.0, 50.0]).unwrap(), None);
+    }
+    feed(&svc, &stream);
+    for name in NAMES {
+        assert!(svc.predict(name, &[50.0, 50.0]).unwrap().is_some(), "{name} did not relearn");
+    }
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// When persistence cannot be established at all, the circuit breaker
 /// drops the layer to in-memory-only serving: status `Degraded`, the
 /// `mlq_serve_durability_degraded` gauge raised, the failure recorded —

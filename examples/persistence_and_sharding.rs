@@ -1,11 +1,13 @@
-//! Operating MLQ like catalog metadata: snapshot a trained model to JSON,
-//! restore it in a "new process", fold per-connection shard models into
-//! one, and replay a recorded workload trace against a fresh
-//! configuration.
+//! Operating MLQ like catalog metadata: snapshot a trained model into a
+//! checksummed envelope, restore it in a "new process", fold
+//! per-connection shard models into one, and replay a recorded workload
+//! trace against a fresh configuration.
 //!
 //! Run with: `cargo run --release --example persistence_and_sharding`
 
-use mlq_core::{InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, Space, TreeSnapshot};
+use mlq_core::{
+    InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, RestoreOutcome, Space, TreeSnapshot,
+};
 use mlq_experiments::trace::WorkloadTrace;
 use mlq_synth::{CostSurface, QueryDistribution, SyntheticUdf};
 
@@ -52,15 +54,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report,
     );
 
-    // --- 3. Persist to JSON and restore ("optimizer restart").
+    // --- 3. Persist to a snapshot envelope and restore ("optimizer restart").
     let snapshot: TreeSnapshot = shard_a.snapshot();
-    let json = serde_json::to_string(&snapshot)?;
+    let envelope = snapshot.to_envelope();
     println!(
-        "snapshot: {} nodes serialized to {} bytes of JSON",
+        "snapshot: {} nodes encoded in a {}-byte envelope ({} bytes accounted in memory)",
         snapshot.node_count(),
-        json.len()
+        envelope.len(),
+        shard_a.bytes_used()
     );
-    let restored = MemoryLimitedQuadtree::from_snapshot(&serde_json::from_str(&json)?)?;
+    let restored = match MemoryLimitedQuadtree::restore(&envelope, config(&space))? {
+        RestoreOutcome::Restored(model) => model,
+        other => return Err(format!("snapshot did not restore: {other:?}").into()),
+    };
     let probe = &workload[17];
     assert_eq!(restored.predict(probe)?, shard_a.predict(probe)?);
     println!("restored model answers identically at a probe point");

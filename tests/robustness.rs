@@ -1,14 +1,16 @@
 //! The robustness acceptance suite: deterministic storage faults, an
-//! adversarial feedback stream against the guarded model, and
-//! property-based corruption tests for the snapshot envelope.
+//! adversarial feedback stream against the guarded model,
+//! property-based corruption tests for the snapshot envelope, and a
+//! hostile-payload fuzzer for the snapshot decoder behind the checksum.
 //!
 //! Everything here is seed-driven — the same faults fire at the same
 //! operations on every run, on every platform — so a failure is a real
 //! regression, never flake.
 
 use mlq_core::{
-    BreakerState, CostModel, GuardConfig, GuardedModel, InsertionStrategy, MemoryLimitedQuadtree,
-    MlqConfig, MlqError, RestoreOutcome, Space,
+    seal_frame, BreakerState, CostModel, GuardConfig, GuardedModel, InsertionStrategy,
+    MemoryLimitedQuadtree, MlqConfig, MlqError, RestoreOutcome, Space, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 use mlq_storage::{
     BufferPool, DiskSim, FaultConfig, FaultInjector, HeapFileBuilder, RetryPolicy, StorageError,
@@ -302,6 +304,144 @@ proptest! {
         let p = g.predict(&[500.0, 500.0]).unwrap();
         if let Some(v) = p {
             prop_assert!(v.is_finite());
+        }
+    }
+}
+
+/// Seed of the hostile-payload fuzzer; CI sweeps many.
+fn snapshot_fuzz_seed() -> u64 {
+    std::env::var("MLQ_SNAPSHOT_FUZZ_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5EED)
+}
+
+/// SplitMix64: a tiny deterministic generator, so every mutation replays
+/// exactly from the seed.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}
+
+/// Payload offsets of the documented version-2 layout for the 2-D lazy
+/// models `trained` builds: dims, 2 lows, 2 highs, budget, strategy tag,
+/// α, β, γ, λ, flag, node count, then 31-byte nodes.
+const DIMS_AT: usize = 0;
+const TAG_AT: usize = 1 + 4 * 8 + 8;
+const GAMMA_AT: usize = TAG_AT + 1 + 8 + 8;
+const COUNT_AT: usize = GAMMA_AT + 8 + 1 + 1;
+const NODES_AT: usize = COUNT_AT + 4;
+const NODE_LEN: usize = 31;
+
+/// The snapshot decoder sees hostile payloads inside intact envelopes:
+/// every mutation is re-sealed with `seal_frame`, so the CRC passes and
+/// only the binary decoder and `from_snapshot` stand between the bytes
+/// and the optimizer. Restore must never panic; a payload that restores
+/// must yield a tree that passes the invariant checker and that freezes
+/// and predicts without panicking. Mutations that break a documented
+/// field constraint must never restore.
+#[test]
+fn hostile_snapshot_payloads_never_panic_or_restore_invalid_trees() {
+    let seed = snapshot_fuzz_seed();
+    let mut rng = SplitMix64(seed);
+    let probes: Vec<[f64; 2]> = (0..16)
+        .map(|i| [f64::from(i) * 66.0, 1000.0 - f64::from(i) * 61.0])
+        .chain([[-5.0, 2000.0], [500.0, 500.0]])
+        .collect();
+    for round in 0..300usize {
+        let envelope = trained(seed.wrapping_add(round as u64 / 30)).snapshot().to_envelope();
+        let mut payload = envelope[20..].to_vec();
+        assert_eq!(payload[DIMS_AT], 2);
+        assert_eq!(payload[TAG_AT], 1);
+        let nodes = (payload.len() - NODES_AT) / NODE_LEN;
+        let kind = round % 10;
+        // Whether the mutation breaks a field constraint outright.
+        let must_reject = match kind {
+            0 => {
+                for _ in 0..1 + rng.below(4) {
+                    let idx = rng.below(payload.len());
+                    payload[idx] ^= 1 << rng.below(8);
+                }
+                false
+            }
+            1 => {
+                payload.truncate(rng.below(payload.len()));
+                true
+            }
+            2 => {
+                payload[COUNT_AT..COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                true
+            }
+            3 => {
+                payload[DIMS_AT] = if rng.below(2) == 0 { 0 } else { 17 };
+                true
+            }
+            4 => {
+                payload[GAMMA_AT..GAMMA_AT + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+                true
+            }
+            5 => {
+                payload[TAG_AT] = 2;
+                true
+            }
+            6 => {
+                for _ in 0..1 + rng.below(16) {
+                    payload.push(rng.next_u64() as u8);
+                }
+                true
+            }
+            7 => {
+                // Re-point a non-root node at a random parent index.
+                let node = 1 + rng.below(nodes - 1);
+                let at = NODES_AT + node * NODE_LEN + 27;
+                let parent = rng.below(nodes + 2) as u32;
+                payload[at..at + 4].copy_from_slice(&parent.to_le_bytes());
+                false
+            }
+            8 => {
+                // Overwrite one random byte of the node stream.
+                let idx = NODES_AT + rng.below(nodes * NODE_LEN);
+                payload[idx] = rng.next_u64() as u8;
+                false
+            }
+            _ => {
+                // Swap two node records: breaks pre-order or slot order.
+                let (a, b) = (rng.below(nodes), rng.below(nodes));
+                for k in 0..NODE_LEN {
+                    payload.swap(NODES_AT + a * NODE_LEN + k, NODES_AT + b * NODE_LEN + k);
+                }
+                false
+            }
+        };
+        let bytes = seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload);
+        let outcome = MemoryLimitedQuadtree::restore(&bytes, fallback()).unwrap();
+        match outcome {
+            RestoreOutcome::Restored(model) => {
+                assert!(!must_reject, "seed {seed} round {round}: mutation {kind} restored");
+                if let Err(e) = model.check_invariants() {
+                    panic!("seed {seed} round {round}: restored tree fails invariants: {e}");
+                }
+                let frozen = model.freeze();
+                for p in &probes {
+                    let _ = model.predict(p);
+                    let _ = frozen.predict(p);
+                }
+            }
+            RestoreOutcome::CorruptFellBackToFresh { model, reason } => {
+                assert!(!reason.is_empty());
+                model.check_invariants().unwrap();
+            }
+            RestoreOutcome::VersionMismatch { .. } => {
+                panic!("seed {seed} round {round}: the version field was never mutated")
+            }
         }
     }
 }
