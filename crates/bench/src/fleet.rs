@@ -17,22 +17,25 @@
 //! The timed quantity is end-to-end events/sec over all three phases
 //! (each event is an observe, a predict, and its share of flush +
 //! arbitration work). The `mlq_catalog_*` counters land in the report
-//! so the gate ([`gate_fleet`]) can require the run actually exercised
-//! the machinery: zero budget overruns (absolute — not relative to the
-//! baseline), nonzero evictions, hibernations, and restores, plus a
-//! throughput floor against the checked-in `BENCH_fleet.baseline.json`.
+//! with absolute bars, so the gate requires the run actually exercised
+//! the machinery: zero budget overruns (not relative to the baseline),
+//! nonzero evictions, hibernations, and restores — a run that never
+//! exercised them proves nothing — plus a throughput floor against the
+//! checked-in `BENCH_fleet.baseline.json`.
 
+use crate::report::{Report, Row};
 use mlq_core::{GuardConfig, Space};
 use mlq_serve::{ConcurrentEstimator, FleetConfig, MaintainerMode, ServeConfig};
 use mlq_synth::{FleetScenario, QueryDistribution};
 use mlq_udfs::ExecutionCost;
-use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// `BENCH_fleet.json` format version; the gate refuses to compare
-/// across versions.
-pub const FLEET_SCHEMA_VERSION: u32 = 1;
+/// Allowed events/sec drop against the baseline. Events/sec of a
+/// workload that interleaves arbitration with reads is noisier than a
+/// pure read bench; a wide floor still catches order-of-magnitude
+/// regressions.
+const EVENTS_BOUND: f64 = 0.35;
 
 /// Events per chunk: one flush + one arbitration step per chunk.
 pub const CHUNK: usize = 256;
@@ -83,56 +86,6 @@ impl FleetBenchConfig {
     #[must_use]
     pub fn short() -> Self {
         FleetBenchConfig { events: 5_000, short: true, ..FleetBenchConfig::full() }
-    }
-}
-
-/// `BENCH_fleet.json`: one measured fleet-arbitration run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FleetReport {
-    /// Format version ([`FLEET_SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Whether the short (CI-smoke) configuration produced this report.
-    pub short_mode: bool,
-    /// Models in the fleet.
-    pub models: usize,
-    /// Global byte budget the arbiter enforced.
-    pub global_budget: usize,
-    /// Total driven events (all phases).
-    pub events: usize,
-    /// End-to-end events/sec of the fastest pass.
-    pub events_per_sec: f64,
-    /// `mlq_catalog_evicted_leaves` after the run.
-    pub evicted_leaves: u64,
-    /// `mlq_catalog_hibernations` after the run.
-    pub hibernations: u64,
-    /// `mlq_catalog_restores` after the run.
-    pub restores: u64,
-    /// `mlq_catalog_budget_overruns` after the run — the gate requires 0.
-    pub budget_overruns: u64,
-    /// Final live (non-hibernated) model bytes.
-    pub live_bytes: u64,
-}
-
-// Hand-written: the vendored serde shim has no `#[serde(default)]`, and
-// hand impls keep the error for a malformed baseline readable.
-impl serde::Deserialize for FleetReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v.as_map().ok_or_else(|| {
-            serde::DeError::custom(format!("expected map for FleetReport, got {v:?}"))
-        })?;
-        Ok(FleetReport {
-            schema_version: serde::field(map, "schema_version")?,
-            short_mode: serde::field(map, "short_mode")?,
-            models: serde::field(map, "models")?,
-            global_budget: serde::field(map, "global_budget")?,
-            events: serde::field(map, "events")?,
-            events_per_sec: serde::field(map, "events_per_sec")?,
-            evicted_leaves: serde::field(map, "evicted_leaves")?,
-            hibernations: serde::field(map, "hibernations")?,
-            restores: serde::field(map, "restores")?,
-            budget_overruns: serde::field(map, "budget_overruns")?,
-            live_bytes: serde::field(map, "live_bytes")?,
-        })
     }
 }
 
@@ -220,7 +173,7 @@ fn run_pass(config: &FleetBenchConfig) -> (f64, ConcurrentEstimator, usize) {
 /// Panics when the serving layer rejects the configuration — a harness
 /// bug, not a measurable outcome.
 #[must_use]
-pub fn measure_fleet(config: &FleetBenchConfig) -> FleetReport {
+pub fn measure_fleet(config: &FleetBenchConfig) -> Report {
     let mut best: Option<(f64, ConcurrentEstimator, usize)> = None;
     for _ in 0..PASS_REPEATS {
         let pass = run_pass(config);
@@ -228,193 +181,37 @@ pub fn measure_fleet(config: &FleetBenchConfig) -> FleetReport {
             best = Some(pass);
         }
     }
-    let (elapsed, svc, events) = best.unwrap();
+    let (elapsed, svc, events) = best.expect("PASS_REPEATS > 0");
     let metrics = svc.metrics();
-    let counter = |name: &str| metrics.counter(name).unwrap_or(0);
-    FleetReport {
-        schema_version: FLEET_SCHEMA_VERSION,
-        short_mode: config.short,
-        models: config.models,
-        global_budget: config.global_budget,
-        events,
-        events_per_sec: events as f64 / elapsed.max(f64::MIN_POSITIVE),
-        evicted_leaves: counter("mlq_catalog_evicted_leaves"),
-        hibernations: counter("mlq_catalog_hibernations"),
-        restores: counter("mlq_catalog_restores"),
-        budget_overruns: counter("mlq_catalog_budget_overruns"),
-        live_bytes: svc.fleet_live_bytes().unwrap() as u64,
-    }
-}
-
-/// Gate thresholds for [`gate_fleet`].
-#[derive(Debug, Clone)]
-pub struct FleetGateConfig {
-    /// Allowed fractional throughput drop against the baseline.
-    pub tolerance: f64,
-}
-
-impl Default for FleetGateConfig {
-    fn default() -> Self {
-        // Events/sec of a workload that interleaves arbitration with
-        // reads is noisier than a pure read bench; a wide floor still
-        // catches order-of-magnitude regressions.
-        FleetGateConfig { tolerance: 0.35 }
-    }
-}
-
-/// The gate's verdict: empty `failures` means pass.
-#[derive(Debug, Clone)]
-pub struct FleetGateReport {
-    /// Human-readable comparison lines (always produced).
-    pub notes: Vec<String>,
-    /// Each failed check, with the numbers that failed it.
-    pub failures: Vec<String>,
-}
-
-impl FleetGateReport {
-    /// Whether every check passed.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Compares a measured fleet report against the committed baseline.
-///
-/// Absolute checks on the measured run (independent of the baseline):
-/// zero budget overruns, and nonzero evictions / hibernations /
-/// restores — a run that never exercised the machinery proves nothing.
-/// Relative check: events/sec must stay within `tolerance` of the
-/// baseline. Schema mismatches fail closed.
-#[must_use]
-pub fn gate_fleet(
-    measured: &FleetReport,
-    baseline: &FleetReport,
-    config: &FleetGateConfig,
-) -> FleetGateReport {
-    let mut notes = Vec::new();
-    let mut failures = Vec::new();
-    if measured.schema_version != FLEET_SCHEMA_VERSION
-        || baseline.schema_version != FLEET_SCHEMA_VERSION
-    {
-        failures.push(format!(
-            "schema mismatch: measured v{}, baseline v{}, gate speaks v{FLEET_SCHEMA_VERSION}",
-            measured.schema_version, baseline.schema_version
-        ));
-        return FleetGateReport { notes, failures };
-    }
-
-    if measured.budget_overruns != 0 {
-        failures.push(format!(
-            "global budget violated: {} arbitration round(s) ended over budget",
-            measured.budget_overruns
-        ));
-    }
-    for (what, count) in [
-        ("evicted_leaves", measured.evicted_leaves),
-        ("hibernations", measured.hibernations),
-        ("restores", measured.restores),
-    ] {
-        if count == 0 {
-            failures.push(format!("{what} is 0: the run never exercised that arbitration path"));
-        }
-    }
-
-    let floor = baseline.events_per_sec * (1.0 - config.tolerance);
-    notes.push(format!(
-        "events/sec {:.0} vs baseline {:.0} (floor {:.0}); evictions {}, \
-         hibernations {}, restores {}, overruns {}, live {} B of {} B",
-        measured.events_per_sec,
-        baseline.events_per_sec,
-        floor,
-        measured.evicted_leaves,
-        measured.hibernations,
-        measured.restores,
-        measured.budget_overruns,
-        measured.live_bytes,
-        measured.global_budget,
-    ));
-    if measured.events_per_sec < floor {
-        failures.push(format!(
-            "throughput regressed: {:.0} events/sec < floor {:.0} ({:.0} baseline, {}% tolerance)",
-            measured.events_per_sec,
-            floor,
-            baseline.events_per_sec,
-            (config.tolerance * 100.0).round(),
-        ));
-    }
-    FleetGateReport { notes, failures }
+    let counter = |name: &str| metrics.counter(name).unwrap_or(0) as f64;
+    let live_bytes = svc.fleet_live_bytes().expect("fleet mode is on") as f64;
+    let rows = vec![
+        Row::higher("config", "models", "count", config.models as f64),
+        Row::higher("config", "global_budget", "bytes", config.global_budget as f64),
+        Row::higher("fleet", "events", "count", events as f64),
+        Row::higher(
+            "fleet",
+            "events_per_sec",
+            "1/s",
+            events as f64 / elapsed.max(f64::MIN_POSITIVE),
+        )
+        .with_bound(EVENTS_BOUND),
+        Row::higher("fleet", "evicted_leaves", "count", counter("mlq_catalog_evicted_leaves"))
+            .with_min(1.0),
+        Row::higher("fleet", "hibernations", "count", counter("mlq_catalog_hibernations"))
+            .with_min(1.0),
+        Row::higher("fleet", "restores", "count", counter("mlq_catalog_restores")).with_min(1.0),
+        Row::lower("fleet", "budget_overruns", "count", counter("mlq_catalog_budget_overruns"))
+            .with_max(0.0),
+        Row::lower("fleet", "live_bytes", "bytes", live_bytes),
+    ];
+    Report::new(config.short, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report(events_per_sec: f64) -> FleetReport {
-        FleetReport {
-            schema_version: FLEET_SCHEMA_VERSION,
-            short_mode: true,
-            models: 8,
-            global_budget: 48 * 1024,
-            events: 1000,
-            events_per_sec,
-            evicted_leaves: 40,
-            hibernations: 6,
-            restores: 6,
-            budget_overruns: 0,
-            live_bytes: 40_000,
-        }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let original = report(123_456.0);
-        let json = serde_json::to_string_pretty(&original).unwrap();
-        let parsed: FleetReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn gate_passes_a_healthy_run() {
-        let verdict =
-            gate_fleet(&report(100_000.0), &report(110_000.0), &FleetGateConfig::default());
-        assert!(verdict.passed(), "{:?}", verdict.failures);
-        assert_eq!(verdict.notes.len(), 1);
-    }
-
-    #[test]
-    fn gate_fails_on_throughput_regression() {
-        let verdict =
-            gate_fleet(&report(50_000.0), &report(100_000.0), &FleetGateConfig::default());
-        assert!(!verdict.passed());
-        assert!(verdict.failures[0].contains("throughput regressed"));
-    }
-
-    #[test]
-    fn gate_fails_on_budget_overrun_regardless_of_baseline() {
-        let mut bad = report(200_000.0);
-        bad.budget_overruns = 3;
-        let verdict = gate_fleet(&bad, &report(100_000.0), &FleetGateConfig::default());
-        assert!(verdict.failures.iter().any(|f| f.contains("budget violated")));
-    }
-
-    #[test]
-    fn gate_fails_when_the_machinery_was_never_exercised() {
-        let mut idle = report(200_000.0);
-        idle.hibernations = 0;
-        idle.restores = 0;
-        let verdict = gate_fleet(&idle, &report(100_000.0), &FleetGateConfig::default());
-        assert_eq!(verdict.failures.iter().filter(|f| f.contains("never exercised")).count(), 2);
-    }
-
-    #[test]
-    fn gate_fails_closed_on_schema_mismatch() {
-        let mut old = report(100_000.0);
-        old.schema_version = 0;
-        let verdict = gate_fleet(&report(100_000.0), &old, &FleetGateConfig::default());
-        assert!(!verdict.passed());
-        assert!(verdict.failures[0].contains("schema mismatch"));
-    }
+    use crate::report::tests::{assert_bars_match, FLEET};
 
     #[test]
     fn a_tiny_measurement_produces_a_sane_report() {
@@ -428,13 +225,14 @@ mod tests {
             short: true,
         };
         let report = measure_fleet(&config);
-        assert_eq!(report.schema_version, FLEET_SCHEMA_VERSION);
-        assert_eq!(report.models, 3);
-        assert!(report.events > 600, "phases beyond mixed drove nothing");
-        assert!(report.events_per_sec > 0.0);
-        assert_eq!(report.budget_overruns, 0);
-        assert!(report.hibernations >= 2, "both cold models should hibernate");
-        assert!(report.restores >= 2, "the wake phase should restore them");
-        assert!(report.live_bytes <= report.global_budget as u64);
+        let v = |metric: &str| report.value("fleet", metric).expect(metric);
+        assert_bars_match(&report, FLEET);
+        assert_eq!(report.value("config", "models"), Some(3.0));
+        assert!(v("events") > 600.0, "phases beyond mixed drove nothing");
+        assert!(v("events_per_sec") > 0.0);
+        assert_eq!(v("budget_overruns"), 0.0);
+        assert!(v("hibernations") >= 2.0, "both cold models should hibernate");
+        assert!(v("restores") >= 2.0, "the wake phase should restore them");
+        assert!(v("live_bytes") <= 8.0 * 1024.0);
     }
 }

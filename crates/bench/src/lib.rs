@@ -1,26 +1,34 @@
-//! # mlq-bench — shared fixtures for the Criterion benchmarks
+//! # mlq-bench — the `mlq-bench` harnesses and the Criterion benchmarks
 //!
-//! The benchmarks live in `benches/`:
+//! The crate ships the `mlq-bench` binary:
+//!
+//! * `mlq-bench --throughput` runs the [`throughput`] harness and writes
+//!   `BENCH_serve.json` (`BENCH_serve_replicated.json` with
+//!   `--replicas N`);
+//! * `mlq-bench --predict` runs the [`predict`] single-vs-batched
+//!   read-path microbench and writes `BENCH_predict.json`;
+//! * `mlq-bench --fleet` runs the [`fleet`] budget-arbitration bench and
+//!   writes `BENCH_fleet.json`;
+//! * `mlq-bench --gate MEASURED BASELINE` compares any such report
+//!   against its checked-in `*.baseline.json` (the CI regression gate).
+//!
+//! Every harness writes the one [`report::Report`] shape, and every
+//! baseline carries its own bars, so one [`report::gate`] serves all.
+//!
+//! The Criterion benchmarks live in `benches/`:
 //!
 //! * `core_ops` — MLQ predict / insert / compress microbenches (the APC
 //!   and AUC quantities of paper Eqs. 1–2);
+//! * `descent` — scalar vs. multi-lane packed descent and CoW
+//!   republication;
 //! * `baseline_ops` — SH-W / SH-H fit and predict;
 //! * `udf_exec` — raw execution cost of the six real UDFs;
 //! * `figures` — one bench per paper figure (8, 9, 10, 11, 12), running
 //!   the same harness code as the `mlq-exp` binary at reduced scale;
 //! * `ablations` — the parameter-sweep harness;
 //! * `optimizer` — predicate-ordering policies end to end;
-//! * `serve` — concurrent serving-layer predict/observe throughput.
-//!
-//! Beyond the Criterion benches, the crate ships the `mlq-bench` binary:
-//! `mlq-bench --throughput` runs the [`throughput`] harness and writes
-//! `BENCH_serve.json`; `mlq-bench --predict` runs the [`predict`]
-//! single-vs-batched read-path microbench and writes
-//! `BENCH_predict.json`; `mlq-bench --fleet` runs the [`fleet`]
-//! budget-arbitration bench and writes `BENCH_fleet.json`;
-//! `mlq-bench --gate` / `--gate-predict` / `--gate-fleet` compare
-//! such reports against the checked-in baselines (the CI regression
-//! gates, see [`report`], [`predict`], and [`fleet`]).
+//! * `lifecycle` and `bakeoff` — model lifecycle and the estimator
+//!   bake-off contenders.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -32,6 +40,24 @@ pub mod throughput;
 
 use mlq_core::{InsertionStrategy, MemoryLimitedQuadtree, MlqConfig, Space};
 use mlq_synth::{CostSurface, QueryDistribution, SyntheticUdf};
+use mlq_udfs::ExecutionCost;
+
+/// One xorshift64 step: the harnesses' seeded query and feedback stream.
+pub(crate) fn xorshift(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
+
+/// A smooth synthetic cost over a harness point, so the guard sees an
+/// honest distribution: CPU rises along the first two axes, IO along the
+/// last.
+pub(crate) fn cost_at(p: &[f64]) -> ExecutionCost {
+    let cpu = 50.0 + p[0] * 0.1 + p.get(1).copied().unwrap_or(0.0) * 0.05;
+    let io = 2.0 + p.last().copied().unwrap_or(0.0) * 0.01;
+    ExecutionCost { cpu, io, results: 0 }
+}
 
 /// A standard 4-D workload: surface, query points, and actual costs.
 #[must_use]

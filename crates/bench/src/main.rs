@@ -1,39 +1,32 @@
-//! `mlq-bench` — the serving-layer throughput harness and CI gate.
+//! `mlq-bench` — the serving-layer bench harnesses and their CI gate.
 //!
 //! ```text
 //! mlq-bench --throughput [--short] [--durable] [--readers 1,2,4] [--replicas N]
 //!           [--duration-ms N] [--out PATH] [--metrics-out PATH]
 //! mlq-bench --predict [--short] [--out PATH]
 //! mlq-bench --fleet [--short] [--models N] [--out PATH]
-//! mlq-bench --gate MEASURED.json BASELINE.json [--tolerance 0.2]
-//!           [--min-scaling X] [--scaling-readers N]
-//! mlq-bench --gate-predict MEASURED.json BASELINE.json [--tolerance 0.2]
-//! mlq-bench --gate-fleet MEASURED.json BASELINE.json [--tolerance 0.35]
+//! mlq-bench --gate MEASURED.json BASELINE.json
 //! ```
 //!
 //! `--throughput` measures predictions/sec, p50/p99 predict latency, and
-//! feedback lag across reader-thread counts, writing `BENCH_serve.json`
-//! (stdout summary included); `--metrics-out` additionally writes the
-//! merged registry snapshot of every run as Prometheus-style text
-//! exposition, and `--durable` runs the service with the write-ahead
-//! feedback journal enabled (temp-dir, removed after each run) so the
-//! journaling overhead is visible against a non-durable baseline.
-//! `--predict` measures the single-call vs. batched read
-//! path over packed snapshots across dimensionalities and model sizes,
-//! writing `BENCH_predict.json`. `--fleet` drives a skewed multi-model
-//! workload under one tight global budget through the fleet arbiter,
-//! writing `BENCH_fleet.json`. `--gate` / `--gate-predict` /
-//! `--gate-fleet` exit nonzero when the measured report regresses
-//! against the baseline — the CI bench-smoke job runs measurement and
-//! gate back to back.
+//! feedback lag across reader-thread counts, writing `BENCH_serve.json`;
+//! `--metrics-out` additionally writes the merged registry snapshot of
+//! every run as Prometheus-style text exposition, `--durable` runs the
+//! service with the write-ahead feedback journal enabled (temp-dir,
+//! removed after each run) so the journaling overhead is visible against
+//! a non-durable baseline, and `--replicas N` measures the replicated
+//! tier instead (`BENCH_serve_replicated.json`). `--predict` measures the
+//! single-call vs. batched read path over packed snapshots across
+//! dimensionalities and model sizes, writing `BENCH_predict.json`.
+//! `--fleet` drives a skewed multi-model workload under one tight global
+//! budget through the fleet arbiter, writing `BENCH_fleet.json`. Every
+//! report has one shape, and `--gate` exits nonzero when a measured
+//! report misses a bar its baseline sets.
 
-use mlq_bench::fleet::{gate_fleet, measure_fleet, FleetBenchConfig, FleetGateConfig, FleetReport};
-use mlq_bench::predict::{
-    gate_predict, measure_predict, PredictConfig, PredictGateConfig, PredictReport,
-};
-use mlq_bench::report::{gate, GateConfig, ThroughputReport};
+use mlq_bench::fleet::{measure_fleet, FleetBenchConfig};
+use mlq_bench::predict::{measure_predict, PredictConfig};
+use mlq_bench::report::{gate, Report};
 use mlq_bench::throughput::{measure_with_metrics, ThroughputConfig};
-use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -42,12 +35,9 @@ fn usage() -> ExitCode {
         "usage:\n  \
          mlq-bench --throughput [--short] [--durable] [--readers 1,2,4] [--replicas N]\n  \
          \u{20}                 [--duration-ms N] [--out PATH] [--metrics-out PATH]\n  \
-         mlq-bench --predict [--short] [--out PATH] [--prior OLD_BASELINE.json]\n  \
+         mlq-bench --predict [--short] [--out PATH]\n  \
          mlq-bench --fleet [--short] [--models N] [--out PATH]\n  \
-         mlq-bench --gate MEASURED.json BASELINE.json [--tolerance 0.2]\n  \
-         \u{20}                 [--min-scaling X] [--scaling-readers N]\n  \
-         mlq-bench --gate-predict MEASURED.json BASELINE.json [--tolerance 0.2]\n  \
-         mlq-bench --gate-fleet MEASURED.json BASELINE.json [--tolerance 0.35]"
+         mlq-bench --gate MEASURED.json BASELINE.json"
     );
     ExitCode::from(2)
 }
@@ -59,16 +49,33 @@ fn main() -> ExitCode {
         Some("--predict") => run_predict(&args[1..]),
         Some("--fleet") => run_fleet(&args[1..]),
         Some("--gate") => run_gate(&args[1..]),
-        Some("--gate-predict") => run_gate_predict(&args[1..]),
-        Some("--gate-fleet") => run_gate_fleet(&args[1..]),
         _ => usage(),
     }
+}
+
+/// Prints every row of `report` and writes it as JSON to `out`.
+fn write_report(report: &Report, out: &str) -> ExitCode {
+    for row in &report.rows {
+        println!("{:>22}  {:<22} {:>16.2} {}", row.case, row.metric, row.value, row.unit);
+    }
+    let json = match serde_json::to_string_pretty(report) {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("serializing report: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Err(e) = std::fs::write(out, json + "\n") {
+        eprintln!("writing {out}: {e}");
+        return ExitCode::FAILURE;
+    }
+    eprintln!("wrote {out} ({} CPU host)", report.host_parallelism);
+    ExitCode::SUCCESS
 }
 
 fn run_predict(args: &[String]) -> ExitCode {
     let mut short = false;
     let mut out = String::from("BENCH_predict.json");
-    let mut prior: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -77,11 +84,6 @@ fn run_predict(args: &[String]) -> ExitCode {
                 i += 1;
                 let Some(path) = args.get(i) else { return usage() };
                 out = path.clone();
-            }
-            "--prior" => {
-                i += 1;
-                let Some(path) = args.get(i) else { return usage() };
-                prior = Some(path.clone());
             }
             _ => return usage(),
         }
@@ -93,58 +95,7 @@ fn run_predict(args: &[String]) -> ExitCode {
         config.rounds,
         if config.short { " (short mode)" } else { "" }
     );
-    let mut report = measure_predict(&config);
-    if let Some(path) = prior {
-        // Stamp each case with the superseded baseline's batched
-        // throughput, so the gate can hold the new read path to an
-        // absolute improvement over the layout it replaced — used when
-        // refreshing BENCH_predict.baseline.json.
-        let old = match load_predict_report(&path) {
-            Ok(old) => old,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for case in &mut report.cases {
-            case.prior_batch_pps = old.case(&case.label).map(|c| c.batch_pps);
-        }
-    }
-    for case in &report.cases {
-        println!(
-            "{:>9}: single {:>11.0}/s  p50 {:>5} ns  p99 {:>6} ns  p999 {:>6} ns   \
-             batch {:>11.0}/s   speedup {:>5.2}x   {:>5} nodes   {:>7} packed bytes",
-            case.label,
-            case.single_pps,
-            case.p50_single_ns,
-            case.p99_single_ns,
-            case.p999_single_ns,
-            case.batch_pps,
-            case.batch_speedup,
-            case.nodes,
-            case.packed_bytes
-        );
-        let sweep = case
-            .sweep
-            .iter()
-            .map(|p| format!("{}→{:.2}M/s", p.batch, p.pps / 1e6))
-            .collect::<Vec<_>>()
-            .join("  ");
-        println!("{:>9}: sweep {sweep}", case.label);
-    }
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("serializing report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    ExitCode::SUCCESS
+    write_report(&measure_predict(&config), &out)
 }
 
 fn run_fleet(args: &[String]) -> ExitCode {
@@ -187,138 +138,7 @@ fn run_fleet(args: &[String]) -> ExitCode {
         config.events,
         if config.short { " (short mode)" } else { "" }
     );
-    let report = measure_fleet(&config);
-    println!(
-        "{} models under {} B: {:>10.0} events/s   evicted {} leaves   \
-         hibernations {}   restores {}   overruns {}   final live {} B",
-        report.models,
-        report.global_budget,
-        report.events_per_sec,
-        report.evicted_leaves,
-        report.hibernations,
-        report.restores,
-        report.budget_overruns,
-        report.live_bytes
-    );
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("serializing report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    ExitCode::SUCCESS
-}
-
-fn load_fleet_report(path: &str) -> Result<FleetReport, String> {
-    let text =
-        std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
-}
-
-fn run_gate_fleet(args: &[String]) -> ExitCode {
-    let (Some(measured_path), Some(baseline_path)) = (args.first(), args.get(1)) else {
-        return usage();
-    };
-    let mut config = FleetGateConfig::default();
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(t) if (0.0..1.0).contains(&t) => config.tolerance = t,
-                    _ => {
-                        eprintln!("--tolerance wants a fraction in [0, 1)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            _ => return usage(),
-        }
-        i += 1;
-    }
-    let (measured, baseline) =
-        match (load_fleet_report(measured_path), load_fleet_report(baseline_path)) {
-            (Ok(m), Ok(b)) => (m, b),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let verdict = gate_fleet(&measured, &baseline, &config);
-    for note in &verdict.notes {
-        println!("  {note}");
-    }
-    if verdict.passed() {
-        println!("fleet gate: PASS ({}% tolerance)", (config.tolerance * 100.0).round());
-        ExitCode::SUCCESS
-    } else {
-        for failure in &verdict.failures {
-            eprintln!("fleet gate FAILURE: {failure}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-fn load_predict_report(path: &str) -> Result<PredictReport, String> {
-    let text =
-        std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
-}
-
-fn run_gate_predict(args: &[String]) -> ExitCode {
-    let (Some(measured_path), Some(baseline_path)) = (args.first(), args.get(1)) else {
-        return usage();
-    };
-    let mut config = PredictGateConfig::default();
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(t) if (0.0..1.0).contains(&t) => config.tolerance = t,
-                    _ => {
-                        eprintln!("--tolerance wants a fraction in [0, 1)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            _ => return usage(),
-        }
-        i += 1;
-    }
-    let (measured, baseline) =
-        match (load_predict_report(measured_path), load_predict_report(baseline_path)) {
-            (Ok(m), Ok(b)) => (m, b),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let verdict = gate_predict(&measured, &baseline, &config);
-    for note in &verdict.notes {
-        println!("  {note}");
-    }
-    if verdict.passed() {
-        println!(
-            "predict gate: PASS ({}% tolerance, {:.2}x speedup floor)",
-            (config.tolerance * 100.0).round(),
-            config.min_batch_speedup
-        );
-        ExitCode::SUCCESS
-    } else {
-        for failure in &verdict.failures {
-            eprintln!("predict gate FAILURE: {failure}");
-        }
-        ExitCode::FAILURE
-    }
+    write_report(&measure_fleet(&config), &out)
 }
 
 fn run_throughput(args: &[String]) -> ExitCode {
@@ -416,38 +236,10 @@ fn run_throughput(args: &[String]) -> ExitCode {
         );
     }
     let (report, metrics) = measure_with_metrics(&config);
-    for run in &report.runs {
-        println!(
-            "{} reader(s) x{} replica(s): {:>12.0} predictions/s   p50 {:>6} ns   p99 {:>6} ns   \
-             feedback applied {}   max lag {}",
-            run.readers,
-            run.replicas,
-            run.predictions_per_sec,
-            run.p50_predict_ns,
-            run.p99_predict_ns,
-            run.feedback_applied,
-            run.max_feedback_lag
-        );
+    let written = write_report(&report, &out);
+    if written != ExitCode::SUCCESS {
+        return written;
     }
-    let scaling_at = if config.replicas > 1 { config.replicas } else { 4 };
-    if let Some(scaling) = report.scaling_to(scaling_at) {
-        println!(
-            "aggregate scaling 1→{scaling_at}: {scaling:.2}x on {} host CPU(s)",
-            report.host_parallelism
-        );
-    }
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("serializing report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
     if let Some(path) = metrics_out {
         if let Err(e) = std::fs::write(&path, metrics.to_prometheus_text()) {
             eprintln!("writing {path}: {e}");
@@ -458,55 +250,15 @@ fn run_throughput(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn load_report(path: &str) -> Result<ThroughputReport, String> {
-    let text =
-        std::fs::read_to_string(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
+fn load_report(path: &str) -> Result<Report, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn run_gate(args: &[String]) -> ExitCode {
-    let (Some(measured_path), Some(baseline_path)) = (args.first(), args.get(1)) else {
+    let [measured_path, baseline_path] = args else {
         return usage();
     };
-    let mut config = GateConfig::default();
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(t) if (0.0..1.0).contains(&t) => config.tolerance = t,
-                    _ => {
-                        eprintln!("--tolerance wants a fraction in [0, 1)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--min-scaling" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(x) if x >= 1.0 => config.min_scaling = x,
-                    _ => {
-                        eprintln!("--min-scaling wants a multiple >= 1.0");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--scaling-readers" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 1 => config.scaling_readers = n,
-                    _ => {
-                        eprintln!("--scaling-readers wants a count > 1");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            _ => return usage(),
-        }
-        i += 1;
-    }
-
     let (measured, baseline) = match (load_report(measured_path), load_report(baseline_path)) {
         (Ok(m), Ok(b)) => (m, b),
         (Err(e), _) | (_, Err(e)) => {
@@ -514,12 +266,12 @@ fn run_gate(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let verdict = gate(&measured, &baseline, &config);
+    let verdict = gate(&measured, &baseline);
     for note in &verdict.notes {
         println!("  {note}");
     }
     if verdict.passed() {
-        println!("bench gate: PASS ({}% tolerance)", (config.tolerance * 100.0).round());
+        println!("bench gate: PASS ({measured_path} vs {baseline_path})");
         ExitCode::SUCCESS
     } else {
         for failure in &verdict.failures {

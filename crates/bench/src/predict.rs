@@ -14,25 +14,18 @@
 //!   chunk and the descent loop runs back to back over the packed slabs.
 //!
 //! The report also records the snapshot's packed byte size per case, so
-//! the layout's memory claim is visible alongside its speed. The
-//! companion gate ([`gate_predict`]) compares a fresh report against the
-//! checked-in `BENCH_predict.baseline.json`: throughput floors per case,
-//! latency ceilings for the sampled single-call p50/p99, and an absolute
-//! batch-speedup floor — the batched path must stay genuinely faster,
-//! not merely not-regressed.
+//! the layout's memory claim is visible alongside its speed. Each case's
+//! rows carry their bars: throughput floors, latency ceilings for the
+//! sampled single-call p50/p99, and an absolute batch-speedup floor — the
+//! batched path must stay genuinely faster, not merely not-regressed.
 
-use crate::report::percentile_ns;
+use crate::report::{percentile_ns, Report, Row};
+use crate::{cost_at, xorshift};
 use mlq_core::Space;
 use mlq_serve::{ConcurrentEstimator, MaintainerMode, ServeConfig};
-use mlq_udfs::ExecutionCost;
-use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// `BENCH_predict.json` format version; the gate refuses to compare
-/// across versions.
-pub const PREDICT_SCHEMA_VERSION: u32 = 1;
 
 /// Points per `predict_batch` call on the batched path.
 pub const BATCH_SIZE: usize = 256;
@@ -53,6 +46,24 @@ pub const LATENCY_SAMPLE: usize = 16;
 /// noisy-neighbor window on a shared runner has the same chance of
 /// hitting either path and each path's best repeat is a clean one.
 pub const PASS_REPEATS: usize = 5;
+
+/// Allowed single/batch throughput regression per case against the
+/// baseline. Looser than the serve harness's 20%: these passes run for
+/// milliseconds, so shared-runner CPU contention moves absolute
+/// throughput far more than it moves the serve harness's duration-based
+/// runs. The speedup floor is the tight, contention-immune contract.
+const PPS_BOUND: f64 = 0.35;
+/// Allowed relative increase of the sampled p50/p99 — more generous
+/// still, because tail percentiles on shared runners are intrinsically
+/// noisier than mean throughput.
+const LATENCY_BOUND: f64 = 1.0;
+/// Absolute floor on every case's `batch_speedup`: the batched path must
+/// beat the single-call path by this factor however both moved since the
+/// baseline. A ratio of two interleaved best-of-N passes on the same
+/// snapshot, so runner speed mostly cancels out of it; the floor sits
+/// below the 2.1–2.3× of the committed baseline to leave room for the
+/// residual contention jitter.
+const MIN_BATCH_SPEEDUP: f64 = 1.35;
 
 /// One benchmark case: a dimensionality and a pre-train volume.
 struct CaseSpec {
@@ -93,138 +104,8 @@ impl PredictConfig {
     }
 }
 
-/// Throughput at one swept batch size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchSweepPoint {
-    /// Points per `predict_batch` call in this pass.
-    pub batch: usize,
-    /// Measured throughput (points per second).
-    pub pps: f64,
-}
-
-/// One measured case of `BENCH_predict.json`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PredictCase {
-    /// Stable case identifier (the gate joins on this).
-    pub label: String,
-    /// Space dimensionality (fanout is `2^dims`).
-    pub dims: usize,
-    /// Nodes in the measured shard's CPU snapshot tree.
-    pub nodes: usize,
-    /// Packed heap bytes of the shard's snapshot (both component trees).
-    pub packed_bytes: usize,
-    /// Single-call path throughput.
-    pub single_pps: f64,
-    /// Sampled single-call median latency, nanoseconds.
-    pub p50_single_ns: u64,
-    /// Sampled single-call 99th-percentile latency, nanoseconds.
-    pub p99_single_ns: u64,
-    /// Sampled single-call 99.9th-percentile latency, nanoseconds.
-    pub p999_single_ns: u64,
-    /// Batched path throughput (points per second), at [`BATCH_SIZE`].
-    pub batch_pps: f64,
-    /// `batch_pps / single_pps` on the same snapshot.
-    pub batch_speedup: f64,
-    /// Throughput at each swept batch size ([`SWEEP_SIZES`]).
-    pub sweep: Vec<BatchSweepPoint>,
-    /// In a *baseline* file: the batched throughput of the baseline this
-    /// one replaced (stamped via `--predict --prior OLD.json`). The gate
-    /// requires a fresh measurement to beat it by
-    /// [`PredictGateConfig::min_prior_speedup`] — the rework's absolute
-    /// improvement claim, not just non-regression. `None` (the default)
-    /// skips that check.
-    pub prior_batch_pps: Option<f64>,
-}
-
-// Hand-written so reports written before the multi-lane rework still
-// gate: `p999_single_ns` falls back to p99, the sweep to empty, and
-// `prior_batch_pps` to None. (The offline serde derive shim has no
-// `#[serde(default)]`.)
-impl serde::Deserialize for PredictCase {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v.as_map().ok_or_else(|| {
-            serde::DeError::custom(format!("expected map for PredictCase, got {v:?}"))
-        })?;
-        let p99_single_ns: u64 = serde::field(map, "p99_single_ns")?;
-        let p999: Option<u64> = serde::field(map, "p999_single_ns")?;
-        let sweep: Option<Vec<BatchSweepPoint>> = serde::field(map, "sweep")?;
-        Ok(PredictCase {
-            label: serde::field(map, "label")?,
-            dims: serde::field(map, "dims")?,
-            nodes: serde::field(map, "nodes")?,
-            packed_bytes: serde::field(map, "packed_bytes")?,
-            single_pps: serde::field(map, "single_pps")?,
-            p50_single_ns: serde::field(map, "p50_single_ns")?,
-            p99_single_ns,
-            p999_single_ns: p999.unwrap_or(p99_single_ns),
-            batch_pps: serde::field(map, "batch_pps")?,
-            batch_speedup: serde::field(map, "batch_speedup")?,
-            sweep: sweep.unwrap_or_default(),
-            prior_batch_pps: serde::field(map, "prior_batch_pps")?,
-        })
-    }
-}
-
-/// The whole `BENCH_predict.json` payload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PredictReport {
-    /// [`PREDICT_SCHEMA_VERSION`] at write time.
-    pub schema_version: u32,
-    /// True for `--short` CI-smoke runs.
-    pub short_mode: bool,
-    /// `std::thread::available_parallelism` on the measuring host. The
-    /// absolute prior-baseline speedup check only applies when this is
-    /// ≥ [`PredictGateConfig::prior_needs_cpus`], matching the serve
-    /// scaling gate's convention for starved CI runners.
-    pub host_parallelism: usize,
-    /// Points per batched call at measurement time.
-    pub batch_size: usize,
-    /// One entry per case, in [`CASES`] order.
-    pub cases: Vec<PredictCase>,
-}
-
-// Hand-written for the same reason as [`PredictCase`]: pre-rework
-// reports carry no `host_parallelism`; 0 keeps every parallelism-gated
-// check disabled for them.
-impl serde::Deserialize for PredictReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map = v.as_map().ok_or_else(|| {
-            serde::DeError::custom(format!("expected map for PredictReport, got {v:?}"))
-        })?;
-        let host_parallelism: Option<usize> = serde::field(map, "host_parallelism")?;
-        Ok(PredictReport {
-            schema_version: serde::field(map, "schema_version")?,
-            short_mode: serde::field(map, "short_mode")?,
-            host_parallelism: host_parallelism.unwrap_or(0),
-            batch_size: serde::field(map, "batch_size")?,
-            cases: serde::field(map, "cases")?,
-        })
-    }
-}
-
-impl PredictReport {
-    /// The case measured under `label`, if present.
-    #[must_use]
-    pub fn case(&self, label: &str) -> Option<&PredictCase> {
-        self.cases.iter().find(|c| c.label == label)
-    }
-}
-
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
 fn point(dims: usize, r: u64) -> Vec<f64> {
     (0..dims).map(|d| ((r >> (d * 10)) % 1000) as f64).collect()
-}
-
-fn cost_at(p: &[f64]) -> ExecutionCost {
-    let cpu = 50.0 + p[0] * 0.1 + p.get(1).copied().unwrap_or(0.0) * 0.05;
-    let io = 2.0 + p.last().copied().unwrap_or(0.0) * 0.01;
-    ExecutionCost { cpu, io, results: 0 }
 }
 
 /// The measured service hosts the paper's six UDFs (name routing on the
@@ -235,7 +116,7 @@ const TARGET: &str = UDFS[2];
 
 /// Builds and pre-trains a service for `spec`, then measures the single
 /// and batched read paths over the same query stream.
-fn measure_case(spec: &CaseSpec, rounds: usize) -> PredictCase {
+fn measure_case(spec: &CaseSpec, rounds: usize) -> Vec<Row> {
     let space = Space::cube(spec.dims, 0.0, 1000.0).expect("valid space");
     // Manual maintenance: nothing runs concurrently with the measurement,
     // so single vs. batch compare under identical conditions.
@@ -293,7 +174,7 @@ fn measure_case(spec: &CaseSpec, rounds: usize) -> PredictCase {
     // same query stream. Size 1 exercises the kernel's degenerate
     // single-lane wave (not the single-call path: the per-call service
     // overhead is still paid once per chunk).
-    let sweep = SWEEP_SIZES
+    let sweep: Vec<Row> = SWEEP_SIZES
         .iter()
         .map(|&batch| {
             let mut elapsed = Duration::MAX;
@@ -304,7 +185,8 @@ fn measure_case(spec: &CaseSpec, rounds: usize) -> PredictCase {
                 }
                 elapsed = elapsed.min(t0.elapsed());
             }
-            BatchSweepPoint { batch, pps: queries.len() as f64 / elapsed.as_secs_f64() }
+            let pps = queries.len() as f64 / elapsed.as_secs_f64();
+            Row::higher(spec.label, &format!("batch_pps@{batch}"), "1/s", pps)
         })
         .collect();
 
@@ -327,402 +209,59 @@ fn measure_case(spec: &CaseSpec, rounds: usize) -> PredictCase {
     let n = queries.len() as f64;
     let single_pps = n / single_elapsed.as_secs_f64();
     let batch_pps = n / batch_elapsed.as_secs_f64();
-    PredictCase {
-        label: spec.label.to_string(),
-        dims: spec.dims,
-        nodes,
-        packed_bytes,
-        single_pps,
-        p50_single_ns: percentile_ns(&samples, 50.0),
-        p99_single_ns: percentile_ns(&samples, 99.0),
-        p999_single_ns: percentile_ns(&samples, 99.9),
-        batch_pps,
-        batch_speedup: batch_pps / single_pps,
-        sweep,
-        prior_batch_pps: None,
-    }
+    let case = spec.label;
+    let mut rows = vec![
+        Row::higher(case, "dims", "count", spec.dims as f64),
+        Row::lower(case, "nodes", "count", nodes as f64),
+        Row::lower(case, "packed_bytes", "bytes", packed_bytes as f64),
+        Row::higher(case, "single_pps", "1/s", single_pps).with_bound(PPS_BOUND),
+        Row::lower(case, "p50_single_ns", "ns", percentile_ns(&samples, 50.0) as f64)
+            .with_bound(LATENCY_BOUND),
+        Row::lower(case, "p99_single_ns", "ns", percentile_ns(&samples, 99.0) as f64)
+            .with_bound(LATENCY_BOUND),
+        Row::lower(case, "p999_single_ns", "ns", percentile_ns(&samples, 99.9) as f64),
+        Row::higher(case, "batch_pps", "1/s", batch_pps).with_bound(PPS_BOUND),
+        Row::higher(case, "batch_speedup", "x", batch_pps / single_pps).with_min(MIN_BATCH_SPEEDUP),
+    ];
+    rows.extend(sweep);
+    rows
 }
 
 /// Runs every case and assembles the report.
 #[must_use]
-pub fn measure_predict(config: &PredictConfig) -> PredictReport {
-    PredictReport {
-        schema_version: PREDICT_SCHEMA_VERSION,
-        short_mode: config.short,
-        host_parallelism: std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get),
-        batch_size: BATCH_SIZE,
-        cases: CASES.iter().map(|spec| measure_case(spec, config.rounds)).collect(),
+pub fn measure_predict(config: &PredictConfig) -> Report {
+    let mut rows = vec![Row::higher("config", "batch_size", "count", BATCH_SIZE as f64)];
+    for spec in CASES {
+        rows.extend(measure_case(spec, config.rounds));
     }
-}
-
-/// Gate thresholds for [`gate_predict`].
-#[derive(Debug, Clone, Copy)]
-pub struct PredictGateConfig {
-    /// Allowed fractional throughput regression per case (0.35 = 35%).
-    /// Looser than the serve gate's 20%: these passes run for
-    /// milliseconds, so shared-runner CPU contention moves absolute
-    /// throughput far more than it moves the serve harness's
-    /// duration-based runs. The speedup floor below is the tight,
-    /// contention-immune contract.
-    pub tolerance: f64,
-    /// Allowed fractional latency increase for sampled p50/p99 — more
-    /// generous still because tail percentiles on shared CI runners are
-    /// intrinsically noisier than mean throughput.
-    pub latency_tolerance: f64,
-    /// Absolute floor on every case's measured `batch_speedup`: the
-    /// batched path must beat the single-call path by this factor
-    /// regardless of how both moved since the baseline. A ratio of two
-    /// interleaved best-of-N passes on the same snapshot, so runner speed
-    /// mostly cancels out of it; the floor sits below the ≥1.5× every
-    /// case shows in the committed `BENCH_predict.json` to leave room
-    /// for the residual contention jitter.
-    pub min_batch_speedup: f64,
-    /// Required `batch_pps / prior_batch_pps` for cases whose baseline
-    /// carries a pre-rework reference throughput: the multi-lane kernel
-    /// must beat the layout it replaced by this factor outright.
-    pub min_prior_speedup: f64,
-    /// The prior-speedup check only applies when the *measured* report's
-    /// `host_parallelism` reaches this; a starved 1–2 CPU runner cannot
-    /// be held to an absolute-throughput multiple (same convention as
-    /// the serve scaling gate).
-    pub prior_needs_cpus: usize,
-}
-
-impl Default for PredictGateConfig {
-    fn default() -> Self {
-        PredictGateConfig {
-            tolerance: 0.35,
-            latency_tolerance: 1.0,
-            min_batch_speedup: 1.35,
-            min_prior_speedup: 2.0,
-            prior_needs_cpus: 4,
-        }
-    }
-}
-
-/// `+12.3%` / `-4.5%` of `measured` against `baseline`, for gate notes.
-fn delta_pct(measured: f64, baseline: f64) -> String {
-    if baseline <= 0.0 {
-        return "n/a".to_string();
-    }
-    format!("{:+.1}%", (measured / baseline - 1.0) * 100.0)
-}
-
-/// The gate's verdict over a predict report.
-#[derive(Debug, Clone, Default)]
-pub struct PredictGateReport {
-    /// Why the gate failed; empty means pass.
-    pub failures: Vec<String>,
-    /// Context worth printing either way.
-    pub notes: Vec<String>,
-}
-
-impl PredictGateReport {
-    /// True when no check failed.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Compares `measured` against `baseline`: schema compatibility, per-case
-/// single/batch throughput floors, p50/p99 latency ceilings, and the
-/// absolute batch-speedup floor. A case present in the baseline but
-/// missing from the measurement fails — coverage must not silently
-/// shrink.
-#[must_use]
-pub fn gate_predict(
-    measured: &PredictReport,
-    baseline: &PredictReport,
-    config: &PredictGateConfig,
-) -> PredictGateReport {
-    let mut report = PredictGateReport::default();
-    if measured.schema_version != baseline.schema_version {
-        report.failures.push(format!(
-            "predict schema mismatch: measured v{} vs baseline v{} — regenerate the baseline",
-            measured.schema_version, baseline.schema_version
-        ));
-        return report;
-    }
-
-    for base in &baseline.cases {
-        let Some(case) = measured.case(&base.label) else {
-            report
-                .failures
-                .push(format!("no measurement for case {} (baseline has one)", base.label));
-            continue;
-        };
-        let pps_floor = 1.0 - config.tolerance;
-        if case.single_pps < base.single_pps * pps_floor {
-            report.failures.push(format!(
-                "{}: single-call throughput regression: {:.0}/s vs baseline {:.0}/s",
-                base.label, case.single_pps, base.single_pps
-            ));
-        }
-        if case.batch_pps < base.batch_pps * pps_floor {
-            report.failures.push(format!(
-                "{}: batched throughput regression: {:.0}/s vs baseline {:.0}/s",
-                base.label, case.batch_pps, base.batch_pps
-            ));
-        }
-        let lat_ceiling = 1.0 + config.latency_tolerance;
-        for (what, got, was) in [
-            ("p50", case.p50_single_ns, base.p50_single_ns),
-            ("p99", case.p99_single_ns, base.p99_single_ns),
-        ] {
-            if (got as f64) > (was as f64) * lat_ceiling {
-                report.failures.push(format!(
-                    "{}: single-call {what} latency regression: {got} ns vs baseline {was} ns",
-                    base.label
-                ));
-            }
-        }
-        if case.batch_speedup < config.min_batch_speedup {
-            report.failures.push(format!(
-                "{}: batch speedup {:.2}x below the {:.2}x floor",
-                base.label, case.batch_speedup, config.min_batch_speedup
-            ));
-        }
-        if let Some(prior) = base.prior_batch_pps {
-            let ratio = if prior > 0.0 { case.batch_pps / prior } else { f64::INFINITY };
-            if measured.host_parallelism < config.prior_needs_cpus {
-                report.notes.push(format!(
-                    "{}: {:.2}x over the pre-rework baseline's {:.0}/s (not enforced: host has \
-                     {} CPU(s), gate needs {})",
-                    base.label, ratio, prior, measured.host_parallelism, config.prior_needs_cpus
-                ));
-            } else if ratio < config.min_prior_speedup {
-                report.failures.push(format!(
-                    "{}: batch {:.0}/s is only {:.2}x the pre-rework baseline's {:.0}/s \
-                     (required {:.1}x)",
-                    base.label, case.batch_pps, ratio, prior, config.min_prior_speedup
-                ));
-            } else {
-                report.notes.push(format!(
-                    "{}: {:.2}x over the pre-rework baseline's {:.0}/s",
-                    base.label, ratio, prior
-                ));
-            }
-        }
-        // Per-metric measured-vs-baseline deltas, printed pass or fail so
-        // a green gate still shows how far each number moved.
-        report.notes.push(format!(
-            "{}: single {:.0}/s ({} vs baseline), batch {:.0}/s ({} vs baseline), \
-             speedup {:.2}x, {} nodes, {} packed bytes",
-            case.label,
-            case.single_pps,
-            delta_pct(case.single_pps, base.single_pps),
-            case.batch_pps,
-            delta_pct(case.batch_pps, base.batch_pps),
-            case.batch_speedup,
-            case.nodes,
-            case.packed_bytes
-        ));
-        report.notes.push(format!(
-            "{}: p50 {} ns ({} vs baseline {}), p99 {} ns ({} vs baseline {}), p999 {} ns",
-            case.label,
-            case.p50_single_ns,
-            delta_pct(case.p50_single_ns as f64, base.p50_single_ns as f64),
-            base.p50_single_ns,
-            case.p99_single_ns,
-            delta_pct(case.p99_single_ns as f64, base.p99_single_ns as f64),
-            base.p99_single_ns,
-            case.p999_single_ns,
-        ));
-        if !case.sweep.is_empty() {
-            let sweep = case
-                .sweep
-                .iter()
-                .map(|p| format!("{}→{:.2}M/s", p.batch, p.pps / 1e6))
-                .collect::<Vec<_>>()
-                .join(", ");
-            report.notes.push(format!("{}: batch-size sweep {sweep}", case.label));
-        }
-    }
-    report
+    Report::new(config.short, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn case(label: &str, single: f64, batch: f64) -> PredictCase {
-        PredictCase {
-            label: label.to_string(),
-            dims: 2,
-            nodes: 100,
-            packed_bytes: 4000,
-            single_pps: single,
-            p50_single_ns: 300,
-            p99_single_ns: 900,
-            p999_single_ns: 1500,
-            batch_pps: batch,
-            batch_speedup: batch / single,
-            sweep: vec![BatchSweepPoint { batch: 8, pps: batch * 0.8 }],
-            prior_batch_pps: None,
-        }
-    }
-
-    fn report(cases: Vec<PredictCase>) -> PredictReport {
-        PredictReport {
-            schema_version: PREDICT_SCHEMA_VERSION,
-            short_mode: true,
-            host_parallelism: 8,
-            batch_size: BATCH_SIZE,
-            cases,
-        }
-    }
-
-    #[test]
-    fn equal_reports_pass() {
-        let base = report(vec![case("a", 1.0e6, 2.0e6)]);
-        let verdict = gate_predict(&base, &base, &PredictGateConfig::default());
-        assert!(verdict.passed(), "{:?}", verdict.failures);
-    }
-
-    #[test]
-    fn throughput_regressions_fail() {
-        let base = report(vec![case("a", 1.0e6, 2.0e6)]);
-        let slow_single = report(vec![case("a", 0.5e6, 2.0e6)]);
-        assert!(!gate_predict(&slow_single, &base, &PredictGateConfig::default()).passed());
-        let slow_batch = report(vec![case("a", 1.0e6, 1.2e6)]);
-        let verdict = gate_predict(&slow_batch, &base, &PredictGateConfig::default());
-        assert!(verdict.failures.iter().any(|f| f.contains("batched throughput")));
-    }
-
-    #[test]
-    fn latency_regressions_fail_beyond_their_own_tolerance() {
-        let base = report(vec![case("a", 1.0e6, 2.0e6)]);
-        let mut slow = base.clone();
-        slow.cases[0].p99_single_ns = 2000;
-        assert!(!gate_predict(&slow, &base, &PredictGateConfig::default()).passed());
-        // Within the (generous) latency tolerance: fine.
-        let mut ok = base.clone();
-        ok.cases[0].p99_single_ns = 1200;
-        assert!(gate_predict(&ok, &base, &PredictGateConfig::default()).passed());
-    }
-
-    #[test]
-    fn speedup_floor_is_absolute() {
-        // Both paths "improved", but batch no longer beats single by the
-        // floor — that is a structural regression of the batched path.
-        let base = report(vec![case("a", 1.0e6, 2.0e6)]);
-        let flat = report(vec![case("a", 3.0e6, 3.3e6)]);
-        let verdict = gate_predict(&flat, &base, &PredictGateConfig::default());
-        assert!(verdict.failures.iter().any(|f| f.contains("speedup")));
-    }
-
-    #[test]
-    fn missing_case_and_schema_mismatch_fail_closed() {
-        let base = report(vec![case("a", 1.0e6, 2.0e6), case("b", 1.0e6, 2.0e6)]);
-        let partial = report(vec![case("a", 1.0e6, 2.0e6)]);
-        assert!(!gate_predict(&partial, &base, &PredictGateConfig::default()).passed());
-        let mut skewed = base.clone();
-        skewed.schema_version += 1;
-        assert!(!gate_predict(&skewed, &base, &PredictGateConfig::default()).passed());
-    }
-
-    #[test]
-    fn report_roundtrips_through_json() {
-        let mut r = report(vec![case("a", 123.0, 456.0)]);
-        r.cases[0].prior_batch_pps = Some(200.0);
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: PredictReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn pre_rework_reports_still_parse_with_defaults() {
-        // A baseline written before p999/sweep/prior/host_parallelism
-        // existed must keep gating at schema v1.
-        let json = format!(
-            r#"{{"schema_version": {PREDICT_SCHEMA_VERSION}, "short_mode": false,
-                 "batch_size": 256, "cases": [{{
-                 "label": "a", "dims": 2, "nodes": 100, "packed_bytes": 4000,
-                 "single_pps": 1000000.0, "p50_single_ns": 300, "p99_single_ns": 900,
-                 "batch_pps": 2000000.0, "batch_speedup": 2.0}}]}}"#
-        );
-        let old: PredictReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(old.host_parallelism, 0);
-        let c = &old.cases[0];
-        assert_eq!(c.p999_single_ns, c.p99_single_ns, "p999 defaults to p99");
-        assert!(c.sweep.is_empty());
-        assert_eq!(c.prior_batch_pps, None);
-        // And a fresh measurement gates cleanly against it.
-        let verdict = gate_predict(
-            &report(vec![case("a", 1.0e6, 2.0e6)]),
-            &old,
-            &PredictGateConfig::default(),
-        );
-        assert!(verdict.passed(), "{:?}", verdict.failures);
-    }
-
-    #[test]
-    fn prior_speedup_floor_is_enforced_only_on_capable_hosts() {
-        let mut base = report(vec![case("a", 1.0e6, 2.0e6)]);
-        base.cases[0].prior_batch_pps = Some(1.5e6);
-        // 2.0e6 / 1.5e6 = 1.33x < 2x: fails on an 8-CPU host.
-        let measured = report(vec![case("a", 1.0e6, 2.0e6)]);
-        let verdict = gate_predict(&measured, &base, &PredictGateConfig::default());
-        assert!(
-            verdict.failures.iter().any(|f| f.contains("pre-rework")),
-            "{:?}",
-            verdict.failures
-        );
-        // 4.0e6 / 1.5e6 = 2.67x: passes and notes the ratio.
-        let fast = report(vec![case("a", 2.0e6, 4.0e6)]);
-        let verdict = gate_predict(&fast, &base, &PredictGateConfig::default());
-        assert!(verdict.passed(), "{:?}", verdict.failures);
-        assert!(verdict.notes.iter().any(|n| n.contains("pre-rework")));
-        // A starved runner skips the absolute check with a notice.
-        let mut starved = measured.clone();
-        starved.host_parallelism = 2;
-        let verdict = gate_predict(&starved, &base, &PredictGateConfig::default());
-        assert!(verdict.passed(), "{:?}", verdict.failures);
-        assert!(verdict.notes.iter().any(|n| n.contains("not enforced")));
-    }
-
-    #[test]
-    fn passing_gate_notes_carry_per_metric_deltas() {
-        let base = report(vec![case("a", 1.0e6, 2.0e6)]);
-        let measured = report(vec![case("a", 1.1e6, 2.4e6)]);
-        let verdict = gate_predict(&measured, &base, &PredictGateConfig::default());
-        assert!(verdict.passed(), "{:?}", verdict.failures);
-        assert!(
-            verdict.notes.iter().any(|n| n.contains("+10.0% vs baseline")),
-            "single delta missing: {:?}",
-            verdict.notes
-        );
-        assert!(
-            verdict.notes.iter().any(|n| n.contains("+20.0% vs baseline")),
-            "batch delta missing: {:?}",
-            verdict.notes
-        );
-        assert!(verdict.notes.iter().any(|n| n.contains("batch-size sweep")));
-    }
+    use crate::report::tests::{assert_bars_match, PREDICT};
 
     #[test]
     fn a_tiny_measurement_produces_a_sane_report() {
         let report = measure_predict(&PredictConfig { rounds: 2, short: true });
-        assert_eq!(report.schema_version, PREDICT_SCHEMA_VERSION);
-        assert_eq!(report.cases.len(), CASES.len());
         assert!(report.host_parallelism >= 1);
-        for case in &report.cases {
-            assert!(case.nodes > 1, "{}: pre-training must grow the tree", case.label);
-            assert!(case.packed_bytes > 0);
-            assert!(case.single_pps > 0.0);
-            assert!(case.batch_pps > 0.0);
-            assert!(case.p50_single_ns <= case.p99_single_ns);
-            assert!(case.p99_single_ns <= case.p999_single_ns);
-            assert_eq!(
-                case.sweep.iter().map(|p| p.batch).collect::<Vec<_>>(),
-                SWEEP_SIZES,
-                "{}: sweep covers every size",
-                case.label
-            );
-            assert!(case.sweep.iter().all(|p| p.pps > 0.0));
-            assert_eq!(case.prior_batch_pps, None, "fresh measurements carry no prior");
+        assert_bars_match(&report, PREDICT);
+        for spec in CASES {
+            let v = |metric: &str| {
+                report
+                    .value(spec.label, metric)
+                    .unwrap_or_else(|| panic!("{} {metric}", spec.label))
+            };
+            assert!(v("nodes") > 1.0, "{}: pre-training must grow the tree", spec.label);
+            assert!(v("packed_bytes") > 0.0);
+            assert!(v("single_pps") > 0.0);
+            assert!(v("batch_pps") > 0.0);
+            assert!(v("p50_single_ns") <= v("p99_single_ns"));
+            assert!(v("p99_single_ns") <= v("p999_single_ns"));
+            for batch in SWEEP_SIZES {
+                assert!(v(&format!("batch_pps@{batch}")) > 0.0, "{}: sweep {batch}", spec.label);
+            }
         }
     }
 }

@@ -8,8 +8,7 @@
 //!   costs (unlike relative error) and to cross-dataset comparison (unlike
 //!   unnormalized absolute error);
 //! * **learning curves** (Experiment 4): windowed NAE as a function of the
-//!   number of query points processed;
-//! * summary statistics helpers used across the experiment harness.
+//!   number of query points processed.
 //!
 //! APC / AUC (Eqs. 1–2) are recorded by the models themselves (see
 //! `mlq_core::ModelCounters`); this crate turns them into report rows
@@ -38,14 +37,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod alternatives;
 mod learning;
 mod nae;
 mod ops;
-mod stats;
 
-pub use alternatives::{mean_absolute_error, mean_relative_error};
 pub use learning::{LearningCurve, LearningPoint};
 pub use nae::{nae, OnlineNae};
 pub use ops::{apc, auc, feedbacks_to_convergence};
-pub use stats::{mean, percentile, population_std_dev};

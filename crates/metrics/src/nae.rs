@@ -5,6 +5,10 @@ use serde::{Deserialize, Serialize};
 /// Computes `NAE = Σ|predicted − actual| / Σ actual` over a batch of
 /// `(predicted, actual)` pairs.
 ///
+/// The paper (§5.1) rejects the relative error because it is not robust
+/// when execution costs are low, and the unnormalized absolute error
+/// because it varies too much across UDFs and datasets to compare.
+///
 /// Returns `None` when the pairs are empty or the actual costs sum to zero
 /// (the measure is undefined there).
 #[must_use]

@@ -1,12 +1,11 @@
 //! # mlq-obs — unified observability for the MLQ workspace
 //!
-//! A zero-dependency metrics registry plus lightweight span tracing,
-//! shared by every layer of the serving stack. The paper's case for the
-//! memory-limited quadtree is that its maintenance cost is small enough
-//! to live inside an optimizer (He/Lee/Snapp §6.3); a self-tuning system
-//! only keeps that promise if it can *see* its own predict latency,
-//! compression stalls, and feedback lag under drift. This crate is that
-//! eyesight:
+//! A zero-dependency metrics registry, shared by every layer of the
+//! serving stack. The paper's case for the memory-limited quadtree is
+//! that its maintenance cost is small enough to live inside an optimizer
+//! (He/Lee/Snapp §6.3); a self-tuning system only keeps that promise if
+//! it can *see* its own predict latency, compression stalls, and
+//! feedback lag under drift. This crate is that eyesight:
 //!
 //! * **[`Registry`]** — named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   log-scale [`Histogram`]s. Handles are `Arc`-cheap and recording is a
@@ -17,8 +16,6 @@
 //!   order-independent [`merge`](RegistrySnapshot::merge), a
 //!   Prometheus-style [text exposition](RegistrySnapshot::to_prometheus_text),
 //!   and a round-tripping [parser](RegistrySnapshot::parse_prometheus_text).
-//! * **[`TraceRing`]** — span tracing into a bounded ring buffer with
-//!   pluggable sinks ([`JsonLinesSink`], [`PrettySink`]).
 //!
 //! Metric names follow `mlq_<crate>_<metric>`, with `{key="value"}`
 //! label blocks built by [`labeled`] (see DESIGN.md §9 for the naming
@@ -45,11 +42,9 @@
 
 mod metrics;
 mod registry;
-mod trace;
 
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,
     HISTOGRAM_BUCKETS,
 };
 pub use registry::{labeled, MetricValue, ParseError, Registry, RegistrySnapshot};
-pub use trace::{JsonLinesSink, PrettySink, Span, SpanEvent, TraceRing, TraceSink};

@@ -34,7 +34,7 @@ use mlq_core::{
     evict_to_global_budget, CostModel, DeltaTracker, FleetModel, FrozenTree, GuardConfig,
     GuardState, GuardedModel, MemoryLimitedQuadtree, MlqError, Space, TreeSnapshot, NODE_BYTES,
 };
-use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot, TraceRing};
+use mlq_obs::{labeled, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use mlq_optimizer::catalog_models;
 use mlq_udfs::ExecutionCost;
 use parking_lot::RwLock;
@@ -652,7 +652,6 @@ struct MaintainerCore {
     batch_max: usize,
     processed: Arc<AtomicU64>,
     obs: MaintainerObs,
-    trace: Option<Arc<TraceRing>>,
     durability: Option<DurabilityCore>,
     fleet: Option<FleetCore>,
 }
@@ -668,8 +667,6 @@ impl MaintainerCore {
         if batch.is_empty() {
             return 0;
         }
-        let trace = self.trace.clone();
-        let _span = trace.as_ref().map(|ring| ring.span("serve.apply_batch"));
         let start = Instant::now();
         let n = batch.len();
         self.obs.batch_size.record(n as u64);
@@ -995,7 +992,6 @@ pub struct ConcurrentEstimatorBuilder {
     config: ServeConfig,
     models: Vec<(String, MemoryLimitedQuadtree, MemoryLimitedQuadtree)>,
     registry: Option<Arc<Registry>>,
-    trace: Option<Arc<TraceRing>>,
     durability: Option<DurabilityConfig>,
     delta_budget: Option<usize>,
 }
@@ -1008,7 +1004,6 @@ impl ConcurrentEstimatorBuilder {
             config,
             models: Vec::new(),
             registry: None,
-            trace: None,
             durability: None,
             delta_budget: None,
         }
@@ -1037,13 +1032,6 @@ impl ConcurrentEstimatorBuilder {
     #[must_use]
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
-        self
-    }
-
-    /// Traces maintainer batches (span `serve.apply_batch`) into `ring`.
-    #[must_use]
-    pub fn with_trace_ring(mut self, ring: Arc<TraceRing>) -> Self {
-        self.trace = Some(ring);
         self
     }
 
@@ -1107,14 +1095,8 @@ impl ConcurrentEstimatorBuilder {
     /// configuration is nonsensical, or a fleet's global budget cannot
     /// hold two root nodes per shard.
     pub fn build(self) -> Result<ConcurrentEstimator, MlqError> {
-        let ConcurrentEstimatorBuilder {
-            config,
-            models,
-            registry,
-            trace,
-            durability,
-            delta_budget,
-        } = self;
+        let ConcurrentEstimatorBuilder { config, models, registry, durability, delta_budget } =
+            self;
         config.validate()?;
         if let Some(dconfig) = &durability {
             dconfig.validate()?;
@@ -1324,7 +1306,6 @@ impl ConcurrentEstimatorBuilder {
             batch_max: config.batch_max,
             processed: Arc::clone(&processed),
             obs: MaintainerObs::new(&registry),
-            trace,
             durability: durability_core,
             fleet: fleet_core,
         };
